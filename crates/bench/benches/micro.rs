@@ -335,8 +335,8 @@ fn bench_shard_sweep(rep: &mut Reporter) {
                     .seed(42)
                     .costs(CostModel::default().scaled_cpu(200))
                     .shard_config(ShardConfig::groups(groups).placement(placement))
-                    .build_sharded();
-                cluster.elect_leaders();
+                    .build();
+                cluster.elect_leader();
                 let r = cluster.run_measurement(
                     SimDuration::from_secs(2),
                     SimDuration::from_secs(5),
@@ -491,8 +491,8 @@ fn bench_rebalance_sweep(rep: &mut Reporter) {
                     }),
             )
             .telemetry_config(TelemetryConfig::sampled())
-            .build_sharded();
-        cluster.elect_leaders();
+            .build();
+        cluster.elect_leader();
         let phases = [
             (
                 "steady",

@@ -1,7 +1,7 @@
 //! # paxraft-bench
 //!
 //! The benchmark harness that regenerates every evaluation artifact of
-//! the paper (see DESIGN.md's experiment index):
+//! the paper:
 //!
 //! - `fig9` — Raft*-PQL vs LL vs Raft vs Raft* (Figures 9a–9d),
 //! - `fig10` — Raft*-Mencius vs Raft (Figures 10a–10d),
@@ -77,7 +77,7 @@ impl Figure {
         out
     }
 
-    /// Serializes to JSON (for EXPERIMENTS.md regeneration diffs).
+    /// Serializes to JSON (for diffing regenerated results).
     /// Non-finite measurements (a degenerate run dividing by zero ops)
     /// serialize as `null`, and control characters are escaped, so the
     /// output always parses.

@@ -239,9 +239,9 @@ impl ReplicaConfig {
 
     /// Actor id of `node`'s replica in another `group` of the same
     /// sharded cluster. Groups occupy contiguous actor-id blocks of `n`
-    /// in group order (`ShardedCluster`'s layout: group `g`'s node `i`
-    /// is actor `g * n + i`), so the hop is block arithmetic from this
-    /// replica's own peer table. Used by the range-migration transfer,
+    /// in group order ([`crate::harness::Cluster`]'s layout: group `g`'s
+    /// node `i` is actor `g * n + i`), so the hop is block arithmetic
+    /// from this replica's own peer table. Used by the range-migration transfer,
     /// the only cross-group sender.
     pub fn group_actor(&self, group: u32, node: NodeId) -> ActorId {
         let offset = group as i64 - self.group_id() as i64;

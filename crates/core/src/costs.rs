@@ -6,7 +6,8 @@
 //! simulator's per-node serial CPU queue then produces the saturation
 //! behaviour. Constants are calibrated so a 5-replica single-leader
 //! cluster saturates at roughly the paper's 41K ops/s for 8-byte
-//! requests (Figure 10a); see EXPERIMENTS.md for the calibration run.
+//! requests (Figure 10a); `cargo run --release -p paxraft-bench --bin fig10 --
+//! --panel a` reruns that saturation sweep.
 
 use paxraft_sim::time::SimDuration;
 

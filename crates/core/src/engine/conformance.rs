@@ -23,7 +23,7 @@ use crate::raft::RaftReplica;
 use crate::raftstar::RaftStarReplica;
 use crate::snapshot::SnapshotConfig;
 use crate::telemetry::TelemetryConfig;
-use crate::testutil::{cluster_with, drive_until, with_trace_dump, TestClient};
+use crate::testutil::{cluster_with, drive_until, run_fingerprint, with_trace_dump, TestClient};
 use crate::types::NodeId;
 
 /// Builds an `n`-replica cluster of one protocol plus a scripted client
@@ -296,17 +296,7 @@ fn fixed_seed_runs_are_deterministic_for_every_protocol() {
             SimDuration::from_secs(2),
             SimDuration::from_secs(1),
         );
-        format!(
-            "thr={} lr={:?} fr={:?} lw={:?} fw={:?} snaps={:?} pipe={:?} end={}",
-            r.throughput_ops,
-            r.leader_reads,
-            r.follower_reads,
-            r.leader_writes,
-            r.follower_writes,
-            r.snapshots,
-            r.pipeline,
-            cluster.sim.now()
-        )
+        run_fingerprint(&r, cluster.sim.now())
     }
     for p in [
         ProtocolKind::Raft,
@@ -345,17 +335,7 @@ fn telemetry_enabled_runs_are_bit_for_bit_identical_to_disabled() {
             SimDuration::from_secs(2),
             SimDuration::from_secs(1),
         );
-        let fp = format!(
-            "thr={} lr={:?} fr={:?} lw={:?} fw={:?} snaps={:?} pipe={:?} end={}",
-            r.throughput_ops,
-            r.leader_reads,
-            r.follower_reads,
-            r.leader_writes,
-            r.follower_writes,
-            r.snapshots,
-            r.pipeline,
-            cluster.sim.now()
-        );
+        let fp = run_fingerprint(&r, cluster.sim.now());
         (fp, r.telemetry.len(), cluster.sim.trace().recorded())
     }
     for p in [
@@ -407,17 +387,7 @@ fn span_tracing_on_and_off_runs_are_bit_for_bit_identical() {
             SimDuration::from_secs(2),
             SimDuration::from_secs(1),
         );
-        let fp = format!(
-            "thr={} lr={:?} fr={:?} lw={:?} fw={:?} snaps={:?} pipe={:?} end={}",
-            r.throughput_ops,
-            r.leader_reads,
-            r.follower_reads,
-            r.leader_writes,
-            r.follower_writes,
-            r.snapshots,
-            r.pipeline,
-            cluster.sim.now()
-        );
+        let fp = run_fingerprint(&r, cluster.sim.now());
         (fp, r.spans.map(|s| s.commands.len()))
     }
     for p in [
@@ -463,7 +433,7 @@ fn span_breakdowns_sum_exactly_under_loss_and_crash() {
         let now = cluster.sim.now();
         cluster.sim.set_drop_rate_at(0.10, now);
         let n = cluster.replicas().len();
-        let victim = cluster.replicas()[(cluster.leader().0 as usize + 1) % n];
+        let victim = cluster.replicas()[(cluster.leaders()[0].0 as usize + 1) % n];
         cluster
             .sim
             .crash_at(victim, now + SimDuration::from_millis(1500));
@@ -1191,14 +1161,7 @@ fn durability_enabled_fixed_seed_runs_are_deterministic() {
             "{}: durability-enabled run fsynced",
             p.name()
         );
-        format!(
-            "thr={} lw={:?} fw={:?} dur={:?} end={}",
-            r.throughput_ops,
-            r.leader_writes,
-            r.follower_writes,
-            r.durability,
-            cluster.sim.now()
-        )
+        run_fingerprint(&r, cluster.sim.now())
     }
     for p in [
         ProtocolKind::Raft,

@@ -1,32 +1,36 @@
-//! Cluster harness: builds a geo-replicated cluster of any protocol,
-//! attaches closed-loop clients per region, runs a measured interval with
-//! warm-up/cool-down trimming, and reports the paper's metrics
-//! (throughput; p50/p90/p99 latency split into leader-region and
-//! follower-region clients, read vs write).
+//! Cluster harness: builds a geo-replicated cluster of any protocol and
+//! any number of replica groups, attaches closed-loop clients per
+//! region, runs a measured interval with warm-up/cool-down trimming, and
+//! reports the paper's metrics (throughput; p50/p90/p99 latency split
+//! into leader-region and follower-region clients, read vs write).
 
 use paxraft_sim::net::{NetConfig, Region};
-use paxraft_sim::sim::{ActorId, Simulation};
-use paxraft_sim::time::SimDuration;
+use paxraft_sim::sim::{Actor, ActorId, Simulation};
+use paxraft_sim::time::{SimDuration, SimTime};
 use paxraft_workload::generator::{Generator, OpKind, WorkloadConfig};
 use paxraft_workload::linearize::OpRecord;
 use paxraft_workload::metrics::{LatencyRecorder, LatencyTriple};
 
-use crate::client::WorkloadClient;
+use crate::client::{ClientRouting, WorkloadClient};
 use crate::config::{DurabilityConfig, LeaseConfig, ReadMode, ReplicaConfig};
 use crate::costs::CostModel;
-use crate::engine::{DurabilityStats, PipelineConfig, PipelineStats};
-use crate::kv::{CmdId, Command, Key, Op, Reply};
-use crate::mencius::MenciusReplica;
+use crate::engine::{DurabilityStats, PipelineConfig, PipelineStats, ProtocolRules, ReplicaEngine};
+use crate::kv::{CmdId, Command, Key, KvStore, Op, Reply};
+use crate::mencius::{MenciusReplica, MenciusRules};
 use crate::msg::{ClientMsg, Msg};
-use crate::multipaxos::MultiPaxosReplica;
-use crate::raft::RaftReplica;
-use crate::raftstar::RaftStarReplica;
+use crate::multipaxos::{MultiPaxosReplica, PaxosRules};
+use crate::raft::{RaftReplica, RaftRules};
+use crate::raftstar::{RaftStarReplica, RaftStarRules};
+use crate::shard::{
+    AutoBalanceConfig, AutoBalancePolicy, GroupStats, RebalanceConfig, RebalanceCoordinator,
+    ShardConfig, ShardMembership, ShardRouter,
+};
 use crate::snapshot::{SnapshotConfig, SnapshotStats};
 use crate::telemetry::{
     HistogramSeries, LatencyHistogram, MetricRegistry, MetricSample, SpanAssembler, SpanReport,
     TelemetryConfig, TimeSeries,
 };
-use crate::types::NodeId;
+use crate::types::{NodeId, Slot};
 
 /// Which protocol the cluster runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -59,9 +63,7 @@ impl ProtocolKind {
     }
 }
 
-/// Builder for [`Cluster`] (and, via
-/// [`ClusterBuilder::build_sharded`], for
-/// [`crate::shard::ShardedCluster`]).
+/// Builder for [`Cluster`].
 #[derive(Debug, Clone)]
 pub struct ClusterBuilder {
     pub(crate) protocol: ProtocolKind,
@@ -79,9 +81,9 @@ pub struct ClusterBuilder {
     pub(crate) lease: LeaseConfig,
     pub(crate) snapshot: SnapshotConfig,
     pub(crate) pipeline: PipelineConfig,
-    pub(crate) shard: crate::shard::ShardConfig,
-    pub(crate) rebalance: crate::shard::RebalanceConfig,
-    pub(crate) autobalance: crate::shard::AutoBalanceConfig,
+    pub(crate) shard: ShardConfig,
+    pub(crate) rebalance: RebalanceConfig,
+    pub(crate) autobalance: AutoBalanceConfig,
     pub(crate) telemetry: TelemetryConfig,
     pub(crate) durability: DurabilityConfig,
 }
@@ -157,32 +159,29 @@ impl ClusterBuilder {
     }
 
     /// Sharding parameters: how many replica groups to run and where
-    /// their leaders bootstrap. Only [`ClusterBuilder::build_sharded`]
-    /// consumes this; the unsharded [`ClusterBuilder::build`] refuses a
-    /// multi-group configuration.
-    pub fn shard_config(mut self, shard: crate::shard::ShardConfig) -> Self {
+    /// their leaders bootstrap (default: one group, which is the
+    /// unsharded cluster).
+    pub fn shard_config(mut self, shard: ShardConfig) -> Self {
         self.shard = shard;
         self
     }
 
     /// Scripted live rebalancing: key-range migrations the coordinator
-    /// runs at the given virtual times. Only
-    /// [`ClusterBuilder::build_sharded`] consumes this; an empty plan
-    /// (the default) creates no coordinator actor, keeping the cluster
-    /// bit-for-bit the non-rebalancing cluster.
-    pub fn rebalance_config(mut self, rebalance: crate::shard::RebalanceConfig) -> Self {
+    /// runs at the given virtual times. An empty plan (the default)
+    /// creates no coordinator actor, keeping the cluster bit-for-bit the
+    /// non-rebalancing cluster.
+    pub fn rebalance_config(mut self, rebalance: RebalanceConfig) -> Self {
         self.rebalance = rebalance;
         self
     }
 
     /// Closed-loop auto-rebalancing: a policy engine that watches live
-    /// per-group telemetry and issues migrations itself. Only
-    /// [`ClusterBuilder::build_sharded`] consumes this; the disabled
+    /// per-group telemetry and issues migrations itself. The disabled
     /// default creates no policy (and no coordinator actor unless a
     /// scripted plan asks for one), keeping the cluster bit-for-bit
     /// the plain sharded cluster. Enabling it requires telemetry
     /// sampling and more than one group.
-    pub fn autobalance_config(mut self, autobalance: crate::shard::AutoBalanceConfig) -> Self {
+    pub fn autobalance_config(mut self, autobalance: AutoBalanceConfig) -> Self {
         self.autobalance = autobalance;
         self
     }
@@ -230,17 +229,26 @@ impl ClusterBuilder {
         self
     }
 
-    /// Constructs the cluster.
+    /// Constructs the cluster: `shard.groups` independent replica groups
+    /// (one unless [`ClusterBuilder::shard_config`] asks for more) over
+    /// the same `n` simulated nodes — a distinct actor per
+    /// `(node, group)`, one shared network/clock/fault injector — plus
+    /// one closed-loop client fleet per region.
+    ///
+    /// Actor layout: replicas first, group-major (group `g`'s node `i`
+    /// is `ActorId(g * n + i)`), then the clients, then the rebalance
+    /// coordinator when one is configured. A single group carries no
+    /// membership, so no routing header travels on the wire and no
+    /// redirect check runs.
     ///
     /// # Panics
     ///
     /// Panics if region placement does not match the replica count.
     pub fn build(self) -> Cluster {
         assert_eq!(self.regions.len(), self.replicas, "one region per replica");
-        assert!(
-            self.shard.groups <= 1,
-            "multi-group configs need build_sharded()"
-        );
+        let groups = self.shard.groups.max(1);
+        let n = self.replicas;
+        let (new_replica, view) = replica_kind(self.protocol);
         let mut sim = Simulation::new(self.net.clone(), self.seed);
         if self.telemetry.trace_capacity > 0 {
             sim.enable_trace(self.telemetry.trace_capacity);
@@ -248,23 +256,46 @@ impl ClusterBuilder {
         if self.telemetry.trace_spans {
             sim.enable_spans();
         }
-        // Provision the disks (the default actor→disk mapping gives each
-        // replica its own device, which is exactly one disk per node in
-        // the unsharded layout).
+        // Provision the disks: one per *node*, shared by all of that
+        // node's group replicas — co-located groups contend for the same
+        // device the way co-located flows contend for one NIC.
         let disk = self.durability.disk_config();
-        if !disk.is_zero_cost() {
+        let provision_disks = !disk.is_zero_cost();
+        if provision_disks {
             sim.set_disk_config(disk);
         }
-        let peers: Vec<ActorId> = (0..self.replicas).map(ActorId).collect();
-        let client_base = self.replicas;
-        let mut replicas = Vec::new();
-        for i in 0..self.replicas {
-            let cfg = self.replica_config(NodeId(i as u32), peers.clone(), client_base, None);
-            replicas.push(sim.add_actor(self.regions[i], make_replica(self.protocol, cfg)));
+        let router = ShardRouter::from_workload(&self.workload, groups);
+        let client_base = groups * n;
+        let mut replicas = Vec::with_capacity(client_base);
+        let mut leaders = Vec::with_capacity(groups);
+        for g in 0..groups {
+            let peers: Vec<ActorId> = (g * n..(g + 1) * n).map(ActorId).collect();
+            let leader = self.shard.placement.leader_of(self.leader, g, n);
+            leaders.push(leader);
+            let membership = (groups > 1).then(|| ShardMembership {
+                group: g as u32,
+                router: router.clone(),
+            });
+            for i in 0..n {
+                let mut cfg = self.replica_config(
+                    NodeId(i as u32),
+                    peers.clone(),
+                    client_base,
+                    membership.clone(),
+                );
+                cfg.initial_leader = Some(leader);
+                let actor = sim.add_actor(self.regions[i], new_replica(cfg));
+                if provision_disks {
+                    // Disk id = node index: every group's replica on
+                    // node `i` shares node `i`'s device.
+                    sim.map_disk(actor, i);
+                }
+                replicas.push(actor);
+            }
         }
-        // One workload client group per region, targeting that region's
-        // replica (clients in regions without a replica would target the
-        // nearest; with the default 1:1 placement this is exact).
+        // One workload client fleet per region, targeting that region's
+        // replica; with several groups each client routes per key over
+        // its region's member of every group.
         let mut clients = Vec::new();
         let mut rng = paxraft_sim::rng::SimRng::new(self.seed ^ 0xC11E57);
         let mut workload = self.workload.clone();
@@ -275,33 +306,70 @@ impl ClusterBuilder {
                 let gen = Generator::new(workload.clone(), ri, rng.fork(cid as u64));
                 let mut wc = WorkloadClient::new(cid, replicas[ri], gen);
                 wc.history_key = self.record_history_key;
-                let id = sim.add_actor(region, Box::new(wc));
-                clients.push(id);
+                if groups > 1 {
+                    wc.shard = Some(ClientRouting {
+                        router: router.clone(),
+                        targets: (0..groups).map(|g| replicas[g * n + ri]).collect(),
+                    });
+                }
+                clients.push(sim.add_actor(region, Box::new(wc)));
             }
         }
+        // The rebalance coordinator rides at the next client id — but
+        // only when migrations are scripted or the auto-balance policy
+        // is on, so a non-rebalancing cluster keeps the exact actor set
+        // (and RNG schedule) it had before live rebalancing existed.
+        let autobalance_on = self.autobalance.enabled();
+        if autobalance_on {
+            assert!(
+                self.telemetry.sampling_enabled(),
+                "auto-rebalancing reads the sampled load sketch; enable telemetry sampling"
+            );
+            assert!(groups > 1, "auto-rebalancing needs more than one group");
+        }
+        let coordinator = (self.rebalance.enabled() || autobalance_on).then(|| {
+            let coord = RebalanceCoordinator::new(
+                clients.len() as u32,
+                router.clone(),
+                self.rebalance.migrations.clone(),
+                replicas.chunks(n).map(<[ActorId]>::to_vec).collect(),
+                clients.clone(),
+                self.rebalance
+                    .concurrency()
+                    .max(self.autobalance.max_concurrent),
+            );
+            // Place the coordinator in the base leader's region (a real
+            // deployment runs it near the config service).
+            sim.add_actor(self.regions[self.leader.0 as usize], Box::new(coord))
+        });
+        let policy = autobalance_on.then(|| AutoBalancePolicy::new(self.autobalance.clone()));
         Cluster {
             sim,
             protocol: self.protocol,
+            view,
             replicas,
             clients,
             regions: self.regions,
-            leader: self.leader,
+            leaders,
+            router,
+            coordinator,
+            policy,
             probe: None,
             probe_seq: 0,
+            last_probe_cmd: None,
             metrics: MetricRegistry::new(&self.telemetry),
             per_replica: self.telemetry.per_replica,
         }
     }
 
-    /// One replica's configuration under this builder's knobs. Shared by
-    /// the unsharded build and the sharded build (which passes each
-    /// group's peer table and membership).
-    pub(crate) fn replica_config(
+    /// One replica's configuration under this builder's knobs, given its
+    /// group's peer table and membership.
+    fn replica_config(
         &self,
         id: NodeId,
         peers: Vec<ActorId>,
         client_base: usize,
-        shard: Option<crate::shard::ShardMembership>,
+        shard: Option<ShardMembership>,
     ) -> ReplicaConfig {
         let mut cfg = ReplicaConfig::wan_default(id, self.replicas);
         cfg.peers = peers;
@@ -313,7 +381,6 @@ impl ClusterBuilder {
         cfg.snapshot = self.snapshot.clone();
         cfg.pipeline = self.pipeline.clone();
         cfg.durability = self.durability.clone();
-        cfg.initial_leader = Some(self.leader);
         cfg.shard = shard;
         cfg.read_mode = match self.protocol {
             ProtocolKind::RaftStarPql => ReadMode::QuorumLease,
@@ -324,120 +391,79 @@ impl ClusterBuilder {
     }
 }
 
-/// Boxes the right replica type for a protocol (the harness-side face of
-/// the `ProtocolRules` dispatch).
-pub(crate) fn make_replica(
-    protocol: ProtocolKind,
-    cfg: ReplicaConfig,
-) -> Box<dyn paxraft_sim::sim::Actor<Msg>> {
-    match protocol {
-        ProtocolKind::MultiPaxos => Box::new(MultiPaxosReplica::new(cfg)),
-        ProtocolKind::Raft => Box::new(RaftReplica::new(cfg)),
-        ProtocolKind::RaftStar | ProtocolKind::RaftStarPql | ProtocolKind::LeaderLease => {
-            Box::new(RaftStarReplica::new(cfg))
-        }
-        ProtocolKind::RaftStarMencius => Box::new(MenciusReplica::new(cfg)),
+/// A replica's observable state, whatever its protocol: what the harness
+/// samples and tests assert on. Implemented once, for every
+/// [`ReplicaEngine`], by forwarding to its inherent accessors.
+pub trait ReplicaView {
+    /// Whether the replica currently claims leadership (always under
+    /// Mencius, where every replica leads its own slots).
+    fn is_leader(&self) -> bool;
+    /// Read-only state machine access.
+    fn kv(&self) -> &KvStore;
+    /// The applied prefix (Raft `lastApplied` / Paxos executed index).
+    fn applied_index(&self) -> Slot;
+    /// Compaction / snapshot-transfer counters, peaks included.
+    fn snap_stats(&self) -> SnapshotStats;
+    /// Pipeline occupancy and adaptive-batching counters.
+    fn pipeline_stats(&self) -> PipelineStats;
+    /// Fsync / deferred-ack counters.
+    fn durability_stats(&self) -> DurabilityStats;
+    /// The registered metric sample (named counters and gauges) — the
+    /// single source the sampler and the per-group aggregates read.
+    fn metric_sample(&self) -> MetricSample;
+}
+
+impl<P: ProtocolRules> ReplicaView for ReplicaEngine<P> {
+    fn is_leader(&self) -> bool {
+        ReplicaEngine::is_leader(self)
+    }
+    fn kv(&self) -> &KvStore {
+        ReplicaEngine::kv(self)
+    }
+    fn applied_index(&self) -> Slot {
+        ReplicaEngine::applied_index(self)
+    }
+    fn snap_stats(&self) -> SnapshotStats {
+        ReplicaEngine::snap_stats(self)
+    }
+    fn pipeline_stats(&self) -> PipelineStats {
+        ReplicaEngine::pipeline_stats(self)
+    }
+    fn durability_stats(&self) -> DurabilityStats {
+        ReplicaEngine::durability_stats(self)
+    }
+    fn metric_sample(&self) -> MetricSample {
+        ReplicaEngine::metric_sample(self)
     }
 }
 
-/// Whether the replica actor currently claims leadership (Mencius is
-/// always "led": every replica leads its own slots).
-pub(crate) fn replica_is_leader(
-    sim: &paxraft_sim::sim::Simulation<Msg>,
-    protocol: ProtocolKind,
-    id: ActorId,
-) -> bool {
-    match protocol {
-        ProtocolKind::MultiPaxos => sim.actor::<MultiPaxosReplica>(id).is_leader(),
-        ProtocolKind::Raft => sim.actor::<RaftReplica>(id).is_leader(),
-        ProtocolKind::RaftStar | ProtocolKind::RaftStarPql | ProtocolKind::LeaderLease => {
-            sim.actor::<RaftStarReplica>(id).is_leader()
-        }
-        ProtocolKind::RaftStarMencius => true,
-    }
+/// Reads replica actor `id` of a cluster's protocol as a [`ReplicaView`].
+type ViewFn = fn(&Simulation<Msg>, ActorId) -> &dyn ReplicaView;
+
+/// Builds one replica actor of a cluster's protocol.
+type NewReplica = fn(ReplicaConfig) -> Box<dyn Actor<Msg>>;
+
+fn view_of<P: ProtocolRules>(sim: &Simulation<Msg>, id: ActorId) -> &dyn ReplicaView {
+    sim.actor::<ReplicaEngine<P>>(id)
 }
 
-/// The replica actor's snapshot/compaction counters.
-pub(crate) fn replica_snap_stats(
-    sim: &paxraft_sim::sim::Simulation<Msg>,
-    protocol: ProtocolKind,
-    id: ActorId,
-) -> SnapshotStats {
+/// The one place the harness dispatches on the protocol: which rules
+/// type backs the replicas, as a constructor plus a view accessor.
+fn replica_kind(protocol: ProtocolKind) -> (NewReplica, ViewFn) {
     match protocol {
-        ProtocolKind::MultiPaxos => sim.actor::<MultiPaxosReplica>(id).snap_stats(),
-        ProtocolKind::Raft => sim.actor::<RaftReplica>(id).snap_stats(),
-        ProtocolKind::RaftStar | ProtocolKind::RaftStarPql | ProtocolKind::LeaderLease => {
-            sim.actor::<RaftStarReplica>(id).snap_stats()
-        }
-        ProtocolKind::RaftStarMencius => sim.actor::<MenciusReplica>(id).snap_stats(),
-    }
-}
-
-/// The replica actor's pipeline occupancy counters.
-pub(crate) fn replica_pipeline_stats(
-    sim: &paxraft_sim::sim::Simulation<Msg>,
-    protocol: ProtocolKind,
-    id: ActorId,
-) -> PipelineStats {
-    match protocol {
-        ProtocolKind::MultiPaxos => sim.actor::<MultiPaxosReplica>(id).pipeline_stats(),
-        ProtocolKind::Raft => sim.actor::<RaftReplica>(id).pipeline_stats(),
-        ProtocolKind::RaftStar | ProtocolKind::RaftStarPql | ProtocolKind::LeaderLease => {
-            sim.actor::<RaftStarReplica>(id).pipeline_stats()
-        }
-        ProtocolKind::RaftStarMencius => sim.actor::<MenciusReplica>(id).pipeline_stats(),
-    }
-}
-
-/// The replica actor's fsync / deferred-ack counters.
-pub(crate) fn replica_durability_stats(
-    sim: &paxraft_sim::sim::Simulation<Msg>,
-    protocol: ProtocolKind,
-    id: ActorId,
-) -> DurabilityStats {
-    match protocol {
-        ProtocolKind::MultiPaxos => sim.actor::<MultiPaxosReplica>(id).durability_stats(),
-        ProtocolKind::Raft => sim.actor::<RaftReplica>(id).durability_stats(),
-        ProtocolKind::RaftStar | ProtocolKind::RaftStarPql | ProtocolKind::LeaderLease => {
-            sim.actor::<RaftStarReplica>(id).durability_stats()
-        }
-        ProtocolKind::RaftStarMencius => sim.actor::<MenciusReplica>(id).durability_stats(),
-    }
-}
-
-/// The replica actor's state machine (tests: cross-group exclusivity
-/// assertions).
-#[cfg(test)]
-pub(crate) fn replica_kv(
-    sim: &paxraft_sim::sim::Simulation<Msg>,
-    protocol: ProtocolKind,
-    id: ActorId,
-) -> &crate::kv::KvStore {
-    match protocol {
-        ProtocolKind::MultiPaxos => sim.actor::<MultiPaxosReplica>(id).kv(),
-        ProtocolKind::Raft => sim.actor::<RaftReplica>(id).kv(),
-        ProtocolKind::RaftStar | ProtocolKind::RaftStarPql | ProtocolKind::LeaderLease => {
-            sim.actor::<RaftStarReplica>(id).kv()
-        }
-        ProtocolKind::RaftStarMencius => sim.actor::<MenciusReplica>(id).kv(),
-    }
-}
-
-/// The replica actor's registered metric sample (named counters and
-/// gauges) — the single source the sampler and the end-of-run group
-/// aggregates read.
-pub(crate) fn replica_metrics(
-    sim: &paxraft_sim::sim::Simulation<Msg>,
-    protocol: ProtocolKind,
-    id: ActorId,
-) -> MetricSample {
-    match protocol {
-        ProtocolKind::MultiPaxos => sim.actor::<MultiPaxosReplica>(id).metric_sample(),
-        ProtocolKind::Raft => sim.actor::<RaftReplica>(id).metric_sample(),
-        ProtocolKind::RaftStar | ProtocolKind::RaftStarPql | ProtocolKind::LeaderLease => {
-            sim.actor::<RaftStarReplica>(id).metric_sample()
-        }
-        ProtocolKind::RaftStarMencius => sim.actor::<MenciusReplica>(id).metric_sample(),
+        ProtocolKind::MultiPaxos => (
+            |cfg| Box::new(MultiPaxosReplica::new(cfg)),
+            view_of::<PaxosRules>,
+        ),
+        ProtocolKind::Raft => (|cfg| Box::new(RaftReplica::new(cfg)), view_of::<RaftRules>),
+        ProtocolKind::RaftStar | ProtocolKind::RaftStarPql | ProtocolKind::LeaderLease => (
+            |cfg| Box::new(RaftStarReplica::new(cfg)),
+            view_of::<RaftStarRules>,
+        ),
+        ProtocolKind::RaftStarMencius => (
+            |cfg| Box::new(MenciusReplica::new(cfg)),
+            view_of::<MenciusRules>,
+        ),
     }
 }
 
@@ -446,7 +472,7 @@ pub(crate) fn replica_metrics(
 /// `responses` counter becomes the `throughput_ops` rate series;
 /// everything else records as a gauge of the instantaneous (queue
 /// depths) or cumulative (migration/redirect counts) value.
-pub(crate) fn record_group_sample(
+fn record_group_sample(
     registry: &mut MetricRegistry,
     at: paxraft_sim::time::SimTime,
     group: u32,
@@ -474,14 +500,14 @@ pub(crate) fn record_group_sample(
 /// One sampling tick's **per-replica** registry entries (behind
 /// [`TelemetryConfig::per_replica`]): each live replica's own response
 /// rate, fsync rate, queue depth and disk backlog, keyed by actor id so
-/// names stay unique across groups in the sharded layout. This is the
-/// straggler-debugging view: a slow disk shows up as one replica's
-/// `disk_backlog_ms` series diverging while its group's aggregate only
-/// sags. Crashed replicas record no point (a visible series gap).
-pub(crate) fn record_replica_samples(
+/// names stay unique across groups. This is the straggler-debugging
+/// view: a slow disk shows up as one replica's `disk_backlog_ms` series
+/// diverging while its group's aggregate only sags. Crashed replicas
+/// record no point (a visible series gap).
+fn record_replica_samples(
     registry: &mut MetricRegistry,
     sim: &Simulation<Msg>,
-    protocol: ProtocolKind,
+    view: ViewFn,
     at: paxraft_sim::time::SimTime,
     actors: &[ActorId],
 ) {
@@ -489,7 +515,7 @@ pub(crate) fn record_replica_samples(
         if sim.is_crashed(r) {
             continue;
         }
-        let sample = replica_metrics(sim, protocol, r);
+        let sample = view(sim, r).metric_sample();
         let name = |metric: &str| format!("replica{}/{metric}", r.0);
         registry.counter_rate(at, &name("throughput_ops"), sample.get("responses"));
         registry.counter_rate(at, &name("fsync_rate"), sample.get("fsyncs"));
@@ -504,9 +530,9 @@ pub(crate) fn record_replica_samples(
 
 /// Sums the live replicas' metric samples and NIC backlog for one group
 /// of actors at the current instant.
-pub(crate) fn group_sample_now(
+fn group_sample_now(
     sim: &Simulation<Msg>,
-    protocol: ProtocolKind,
+    view: ViewFn,
     actors: &[ActorId],
 ) -> (MetricSample, f64, f64) {
     let now = sim.now();
@@ -517,7 +543,7 @@ pub(crate) fn group_sample_now(
         if sim.is_crashed(r) {
             continue;
         }
-        sample.merge_sum(&replica_metrics(sim, protocol, r));
+        sample.merge_sum(&view(sim, r).metric_sample());
         let nic_free = sim.network().nic_free_at(r.0);
         if nic_free > now {
             nic_backlog_ms += (nic_free - now).as_millis_f64();
@@ -572,18 +598,31 @@ pub struct RunReport {
     pub spans: Option<SpanReport>,
 }
 
-/// A built cluster ready to run.
+/// A built cluster ready to run: `groups × n` replica actors over `n`
+/// simulated nodes (one group unless sharding was configured), plus
+/// per-region clients that route by key.
 pub struct Cluster {
     /// The underlying simulation (exposed for fault injection).
     pub sim: Simulation<Msg>,
     protocol: ProtocolKind,
+    view: ViewFn,
+    /// Replica actors, group-major: group `g`'s node `i` is
+    /// `replicas[g * n + i]`.
     replicas: Vec<ActorId>,
     clients: Vec<ActorId>,
     regions: Vec<Region>,
-    leader: NodeId,
+    leaders: Vec<NodeId>,
+    pub(crate) router: ShardRouter,
+    pub(crate) coordinator: Option<ActorId>,
+    /// The closed-loop auto-balance policy (None unless enabled). Lives
+    /// harness-side like the telemetry sampler: it observes between sim
+    /// steps and injects its decisions into the coordinator, so runs
+    /// stay deterministic per seed.
+    pub(crate) policy: Option<AutoBalancePolicy>,
     probe: Option<ActorId>,
     probe_seq: u64,
-    pub(crate) metrics: MetricRegistry,
+    last_probe_cmd: Option<Command>,
+    metrics: MetricRegistry,
     per_replica: bool,
 }
 
@@ -606,9 +645,9 @@ impl Cluster {
             lease: LeaseConfig::default(),
             snapshot: SnapshotConfig::default(),
             pipeline: PipelineConfig::default(),
-            shard: crate::shard::ShardConfig::default(),
-            rebalance: crate::shard::RebalanceConfig::default(),
-            autobalance: crate::shard::AutoBalanceConfig::default(),
+            shard: ShardConfig::default(),
+            rebalance: RebalanceConfig::default(),
+            autobalance: AutoBalanceConfig::default(),
             telemetry: TelemetryConfig::default(),
             durability: DurabilityConfig::default(),
         }
@@ -619,9 +658,35 @@ impl Cluster {
         self.protocol
     }
 
-    /// Replica actor ids.
+    /// Every replica actor id, group-major.
     pub fn replicas(&self) -> &[ActorId] {
         &self.replicas
+    }
+
+    /// Number of replica groups.
+    pub fn num_groups(&self) -> usize {
+        self.leaders.len()
+    }
+
+    /// Group `g`'s replica actors, indexed by node.
+    pub fn group_replicas(&self, g: usize) -> &[ActorId] {
+        let n = self.regions.len();
+        &self.replicas[g * n..(g + 1) * n]
+    }
+
+    /// The actor serving group `g` on node `node`.
+    pub fn replica(&self, g: usize, node: NodeId) -> ActorId {
+        self.group_replicas(g)[node.0 as usize]
+    }
+
+    /// The group a replica actor belongs to (`None` for other actors).
+    pub fn group_of_replica(&self, a: ActorId) -> Option<u32> {
+        (a.0 < self.replicas.len()).then(|| (a.0 / self.regions.len()) as u32)
+    }
+
+    /// Replica actor `id` read through the protocol-independent view.
+    pub fn replica_view(&self, id: ActorId) -> &dyn ReplicaView {
+        (self.view)(&self.sim, id)
     }
 
     /// Client actor ids.
@@ -629,56 +694,27 @@ impl Cluster {
         &self.clients
     }
 
-    /// The configured leader node.
-    pub fn leader(&self) -> NodeId {
-        self.leader
+    /// Each group's bootstrap leader node.
+    pub fn leaders(&self) -> &[NodeId] {
+        &self.leaders
     }
 
-    /// Whether some replica currently claims leadership (Mencius is
-    /// always "led": every replica leads its own slots).
-    pub fn has_leader(&self) -> bool {
-        self.replicas
+    /// Whether some replica of group `g` currently claims leadership.
+    pub fn group_has_leader(&self, g: usize) -> bool {
+        self.group_replicas(g)
             .iter()
-            .any(|&r| replica_is_leader(&self.sim, self.protocol, r))
+            .any(|&r| self.replica_view(r).is_leader())
     }
 
-    /// Snapshot / compaction counters aggregated over all replicas
-    /// (sums for counters, maxima for peaks).
-    pub fn snapshot_stats(&self) -> SnapshotStats {
-        let mut total = SnapshotStats::default();
-        for &r in &self.replicas {
-            total.absorb(&replica_snap_stats(&self.sim, self.protocol, r));
-        }
-        total
-    }
-
-    /// Pipeline occupancy / adaptive-batching counters aggregated over
-    /// all replicas (sums for counters, maximum for `peak_in_flight`).
-    pub fn pipeline_stats(&self) -> PipelineStats {
-        let mut total = PipelineStats::default();
-        for &r in &self.replicas {
-            total.absorb(&replica_pipeline_stats(&self.sim, self.protocol, r));
-        }
-        total
-    }
-
-    /// Fsync / deferred-ack counters aggregated over all replicas (sums
-    /// for counters, maximum for `last_batch_len`).
-    pub fn durability_stats(&self) -> DurabilityStats {
-        let mut total = DurabilityStats::default();
-        for &r in &self.replicas {
-            total.absorb(&replica_durability_stats(&self.sim, self.protocol, r));
-        }
-        total
-    }
-
-    /// Runs until a leader is elected (and leases, if any, are live).
+    /// Runs until every group has elected a leader (and leases, if any,
+    /// are live).
     pub fn elect_leader(&mut self) {
+        let elected = |c: &Cluster| (0..c.num_groups()).all(|g| c.group_has_leader(g));
         let deadline = self.sim.now() + SimDuration::from_secs(30);
-        while !self.has_leader() && self.sim.now() < deadline {
+        while !elected(self) && self.sim.now() < deadline {
             self.sim.run_for(SimDuration::from_millis(50));
         }
-        assert!(self.has_leader(), "no leader elected within 30s");
+        assert!(elected(self), "no leader elected within 30s");
         if matches!(
             self.protocol,
             ProtocolKind::RaftStarPql | ProtocolKind::LeaderLease
@@ -688,8 +724,54 @@ impl Cluster {
         }
     }
 
-    /// Submits one operation through an internal probe client and waits
-    /// for its reply (for examples and tests, not measurement).
+    /// Per-group commit/snapshot/pipeline counters, read from the same
+    /// named [`MetricSample`]s the virtual-time sampler folds into
+    /// time-series (one source of truth for aggregates and series).
+    pub fn per_group_stats(&self) -> Vec<GroupStats> {
+        (0..self.num_groups())
+            .map(|g| {
+                let mut snapshots = SnapshotStats::default();
+                let mut pipeline = PipelineStats::default();
+                let mut durability = DurabilityStats::default();
+                let mut sample = MetricSample::default();
+                for &r in self.group_replicas(g) {
+                    let v = self.replica_view(r);
+                    snapshots.absorb(&v.snap_stats());
+                    pipeline.absorb(&v.pipeline_stats());
+                    durability.absorb(&v.durability_stats());
+                    sample.merge_sum(&v.metric_sample());
+                }
+                GroupStats {
+                    group: g as u32,
+                    leader: self.leaders[g],
+                    responses: sample.get("responses") as u64,
+                    snapshots,
+                    pipeline,
+                    durability,
+                    range_exports: sample.get("range_exports") as u64,
+                    range_installs: sample.get("range_installs") as u64,
+                }
+            })
+            .collect()
+    }
+
+    /// The first live replica of group `g`, preferring its configured
+    /// leader (a follower's forwarding finds the actual leader).
+    fn live_replica(&self, g: usize) -> ActorId {
+        let preferred = self.replica(g, self.leaders[g]);
+        if !self.sim.is_crashed(preferred) {
+            return preferred;
+        }
+        *self
+            .group_replicas(g)
+            .iter()
+            .find(|&&r| !self.sim.is_crashed(r))
+            .expect("at least one live replica in the group")
+    }
+
+    /// Submits one operation through an internal probe client, routed to
+    /// the leader of the group owning the operation's key, and waits for
+    /// its reply (for examples and tests, not measurement).
     ///
     /// # Errors
     ///
@@ -700,7 +782,7 @@ impl Cluster {
         let pid = match self.probe {
             Some(pid) => pid,
             None => {
-                let region = self.regions[self.leader.0 as usize];
+                let region = self.regions[self.leaders[0].0 as usize];
                 let pid = self.sim.add_actor(region, Box::new(ProbeClient::default()));
                 self.probe = Some(pid);
                 pid
@@ -715,21 +797,23 @@ impl Cluster {
             seq: self.probe_seq,
         };
         let cmd = Command { id, op };
-        // Target the configured leader's replica unless it is crashed;
-        // fall back to the first live replica (its forwarding finds the
-        // actual leader).
-        let mut target = self.replicas[self.leader.0 as usize];
-        if self.sim.is_crashed(target) {
-            target = *self
-                .replicas
-                .iter()
-                .find(|&&r| !self.sim.is_crashed(r))
-                .expect("at least one live replica");
-        }
+        self.last_probe_cmd = Some(cmd.clone());
+        // Route by the *current* map (migrations move ranges while
+        // probes run); a raced move is reconciled by the probe's
+        // WrongGroup handling, which needs one live replica per group.
+        let g = cmd
+            .op
+            .key()
+            .map_or(0, |k| self.current_router().group_of(k)) as usize;
+        let target = self.live_replica(g);
+        let group_targets = (0..self.num_groups())
+            .map(|g| self.live_replica(g))
+            .collect();
         {
             let p = self.sim.actor_mut::<ProbeClient>(pid);
             p.waiting = Some(id);
             p.reply = None;
+            p.group_targets = group_targets;
             p.outbox = Some((target, Msg::Client(ClientMsg::Request { cmd })));
         }
         let deadline = self.sim.now() + SimDuration::from_secs(30);
@@ -742,15 +826,24 @@ impl Cluster {
         Err("probe timed out".into())
     }
 
+    /// The last command [`Cluster::submit_and_wait`] sent — tests
+    /// re-inject it verbatim to model a client retransmission (same
+    /// `CmdId`), e.g. a retry that crosses a range migration.
+    pub fn last_probe_command(&self) -> Option<Command> {
+        self.last_probe_cmd.clone()
+    }
+
     /// Advances virtual time by `d`, pausing at each due sampling
-    /// instant to read replica state into the metric registry.
+    /// instant to fold every group's replica state into the metric
+    /// registry (`group{g}/…` series) and to step the auto-balance
+    /// policy.
     ///
     /// Determinism: stepping `run_until` in chunks processes the
     /// identical event order as a single call (events are heap-ordered
     /// by `(time, seq)`, and setting the clock between chunks is inert)
     /// and sampling is read-only, so enabling the sampler never changes
     /// the run.
-    fn advance(&mut self, d: SimDuration) {
+    pub fn advance(&mut self, d: SimDuration) {
         let target = self.sim.now() + d;
         if !self.metrics.enabled() {
             self.sim.run_until(target);
@@ -759,38 +852,55 @@ impl Cluster {
         self.metrics.fast_forward(self.sim.now());
         while self.metrics.next_due() <= target {
             self.sim.run_until(self.metrics.next_due());
-            let (sample, nic, disk) = group_sample_now(&self.sim, self.protocol, &self.replicas);
-            record_group_sample(&mut self.metrics, self.sim.now(), 0, &sample, nic, disk);
-            if self.per_replica {
-                record_replica_samples(
-                    &mut self.metrics,
-                    &self.sim,
-                    self.protocol,
-                    self.sim.now(),
-                    &self.replicas,
-                );
-            }
-            let mut hist = LatencyHistogram::default();
-            for &c in &self.clients {
-                for h in &self.sim.actor::<WorkloadClient>(c).group_latency {
-                    hist.merge(h);
+            let now = self.sim.now();
+            let mut cluster_sample = MetricSample::default();
+            let n = self.regions.len();
+            for (g, actors) in self.replicas.chunks(n).enumerate() {
+                let (sample, nic, disk) = group_sample_now(&self.sim, self.view, actors);
+                record_group_sample(&mut self.metrics, now, g as u32, &sample, nic, disk);
+                if self.per_replica {
+                    record_replica_samples(&mut self.metrics, &self.sim, self.view, now, actors);
                 }
+                cluster_sample.merge_sum(&sample);
             }
-            self.metrics
-                .histogram(self.sim.now(), "group0/latency", hist);
+            self.sample_latency_histograms(now);
+            self.tick_policy(now, &cluster_sample);
             self.metrics.advance();
         }
         self.sim.run_until(target);
     }
 
-    /// The sampled metric time-series collected so far (empty unless
-    /// telemetry sampling is enabled).
+    /// Folds every client's per-group completion-latency histogram into
+    /// one `group{g}/latency` snapshot per group. Cumulative snapshots:
+    /// [`HistogramSeries::window`] recovers any phase by subtraction.
+    fn sample_latency_histograms(&mut self, now: SimTime) {
+        let mut hists = vec![LatencyHistogram::default(); self.num_groups()];
+        for &c in &self.clients {
+            let client = self.sim.actor::<WorkloadClient>(c);
+            for (h, ch) in hists.iter_mut().zip(&client.group_latency) {
+                h.merge(ch);
+            }
+        }
+        for (g, h) in hists.into_iter().enumerate() {
+            self.metrics.histogram(now, &format!("group{g}/latency"), h);
+        }
+    }
+
+    /// The sampled per-group metric time-series collected so far (empty
+    /// unless telemetry sampling is enabled).
     pub fn telemetry_series(&self) -> Vec<TimeSeries> {
         self.metrics.snapshot()
     }
 
     /// Assembles the span log recorded so far into per-command latency
-    /// breakdowns (`None` unless span tracing is enabled).
+    /// breakdowns (`None` unless span tracing is enabled). The
+    /// migration story reads directly off the per-command fields:
+    /// redirect cost is the `redirects` bounces' network share,
+    /// freeze-bounce cost is `stalls` × the stall queueing time, and
+    /// destination queueing is the queueing/batching booked at the
+    /// group that finally served the command
+    /// ([`crate::telemetry::CommandBreakdown::served_by`] →
+    /// [`Cluster::group_of_replica`]).
     pub fn span_report(&self) -> Option<SpanReport> {
         self.sim
             .trace()
@@ -800,7 +910,9 @@ impl Cluster {
 
     /// Runs `warmup + measure + cooldown`, counting only completions
     /// inside the measurement window (Section 5: 50 s trials with 10 s
-    /// warm-up and cool-down; benches use scaled-down windows).
+    /// warm-up and cool-down; benches use scaled-down windows). The
+    /// "leader region" latency split is anchored at group 0's leader;
+    /// snapshot/pipeline/durability counters sum over every group.
     pub fn run_measurement(
         &mut self,
         warmup: SimDuration,
@@ -813,7 +925,7 @@ impl Cluster {
         let w_end = self.sim.now().as_nanos();
         self.advance(cooldown);
 
-        let leader_region = self.regions[self.leader.0 as usize];
+        let leader_region = self.regions[self.leaders[0].0 as usize];
         let mut leader_reads = LatencyRecorder::new();
         let mut follower_reads = LatencyRecorder::new();
         let mut leader_writes = LatencyRecorder::new();
@@ -838,6 +950,14 @@ impl Cluster {
             }
             histories.extend(client.history_records());
         }
+        let mut snapshots = SnapshotStats::default();
+        let mut pipeline = PipelineStats::default();
+        let mut durability = DurabilityStats::default();
+        for gs in &self.per_group_stats() {
+            snapshots.absorb(&gs.snapshots);
+            pipeline.absorb(&gs.pipeline);
+            durability.absorb(&gs.durability);
+        }
         RunReport {
             throughput_ops: completed as f64 / measure.as_secs_f64(),
             leader_reads: leader_reads.paper_triple_ms(),
@@ -845,9 +965,9 @@ impl Cluster {
             leader_writes: leader_writes.paper_triple_ms(),
             follower_writes: follower_writes.paper_triple_ms(),
             histories,
-            snapshots: self.snapshot_stats(),
-            pipeline: self.pipeline_stats(),
-            durability: self.durability_stats(),
+            snapshots,
+            pipeline,
+            durability,
             telemetry: self.metrics.snapshot(),
             latency_hists: self.metrics.hist_snapshot(),
             spans: self.span_report(),
@@ -871,7 +991,7 @@ mod tests {
         ] {
             let mut cluster = Cluster::builder(p).build();
             cluster.elect_leader();
-            assert!(cluster.has_leader(), "{} has a leader", p.name());
+            assert!(cluster.group_has_leader(0), "{} has a leader", p.name());
         }
     }
 

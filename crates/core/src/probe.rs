@@ -1,6 +1,6 @@
-//! A one-shot scripted client used by [`crate::harness::Cluster`] for
-//! `submit_and_wait`-style interactions (examples, tests, demos) — not
-//! for measurement.
+//! A one-shot scripted client used by
+//! [`crate::harness::Cluster::submit_and_wait`] (examples, tests, demos)
+//! — not for measurement.
 
 use paxraft_sim::impl_actor_any;
 use paxraft_sim::sim::{Actor, ActorId, Ctx};
@@ -18,9 +18,9 @@ pub struct ProbeClient {
     pub reply: Option<Reply>,
     /// A request to send on the next poll tick.
     pub outbox: Option<(ActorId, Msg)>,
-    /// Sharded clusters: `group_targets[g]` serves group `g` for this
-    /// probe, so a [`Reply::WrongGroup`] redirect can be followed (live
-    /// rebalancing moves ranges while probes are in flight).
+    /// `group_targets[g]` serves group `g` for this probe, so a
+    /// [`Reply::WrongGroup`] redirect can be followed (live rebalancing
+    /// moves ranges while probes are in flight).
     pub group_targets: Vec<ActorId>,
     /// Highest partition-map version observed on redirects; an older
     /// redirect is a lagging replica, waited out on the poll tick

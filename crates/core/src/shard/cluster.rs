@@ -1,31 +1,21 @@
-//! The sharded cluster harness: `groups` independent replica groups
-//! over the same simulated nodes.
+//! Sharding configuration and the [`Cluster`] accessors for key-range
+//! routing and live rebalancing. Every cluster is `groups` replica groups
+//! over the same simulated nodes ([`ClusterBuilder::build`]); one group is
+//! the unsharded cluster.
+//!
+//! [`ClusterBuilder::build`]: crate::harness::ClusterBuilder::build
 
-use paxraft_sim::net::Region;
-use paxraft_sim::sim::{ActorId, Simulation};
+use paxraft_sim::sim::ActorId;
 use paxraft_sim::time::{SimDuration, SimTime};
-use paxraft_workload::generator::{Generator, OpKind};
-use paxraft_workload::metrics::LatencyRecorder;
 
-use crate::client::{ClientRouting, WorkloadClient};
-use crate::engine::DurabilityStats;
-use crate::engine::PipelineStats;
-use crate::harness::{
-    group_sample_now, make_replica, record_group_sample, record_replica_samples,
-    replica_durability_stats, replica_is_leader, replica_metrics, replica_pipeline_stats,
-    replica_snap_stats, Cluster, ClusterBuilder, ProtocolKind, RunReport,
-};
-use crate::kv::{CmdId, Command, Op, Reply};
-use crate::msg::{ClientMsg, Msg};
+use crate::engine::{DurabilityStats, PipelineStats};
+use crate::harness::Cluster;
 use crate::snapshot::SnapshotStats;
-use crate::telemetry::{LatencyHistogram, MetricRegistry, MetricSample, TimeSeries};
+use crate::telemetry::MetricSample;
 use crate::types::NodeId;
 
 use super::autobalance::SKETCH_NAMES;
-use super::{
-    AutoBalancePolicy, BalanceDecision, MigrationSpec, RebalanceCoordinator, ShardMembership,
-    ShardRouter,
-};
+use super::{AutoBalancePolicy, BalanceDecision, MigrationSpec, RebalanceCoordinator, ShardRouter};
 
 /// Where each group's leader bootstraps — the knob the Paxos/Raft
 /// leader-flexibility comparison turns on.
@@ -60,7 +50,7 @@ impl LeaderPlacement {
     }
 }
 
-/// Sharding parameters for [`ClusterBuilder::shard_config`].
+/// Sharding parameters for [`crate::harness::ClusterBuilder::shard_config`].
 #[derive(Debug, Clone)]
 pub struct ShardConfig {
     /// Number of replica groups (1 = unsharded behavior).
@@ -94,7 +84,7 @@ impl ShardConfig {
     }
 }
 
-/// Per-group counters from one sharded run.
+/// Per-group counters from one run.
 #[derive(Debug, Clone)]
 pub struct GroupStats {
     /// Group id.
@@ -116,191 +106,10 @@ pub struct GroupStats {
     pub range_installs: u64,
 }
 
-/// A built sharded cluster: `groups × n` replica actors over `n`
-/// simulated nodes, plus per-region clients that route by key.
-pub struct ShardedCluster {
-    /// The underlying simulation (exposed for fault injection).
-    pub sim: Simulation<Msg>,
-    protocol: ProtocolKind,
-    /// `group_actors[g][i]` is node `i`'s actor in group `g`.
-    group_actors: Vec<Vec<ActorId>>,
-    clients: Vec<ActorId>,
-    regions: Vec<Region>,
-    leaders: Vec<NodeId>,
-    router: ShardRouter,
-    coordinator: Option<ActorId>,
-    /// The closed-loop auto-balance policy (None unless enabled). Lives
-    /// harness-side like the telemetry sampler: it observes between sim
-    /// steps and injects its decisions into the coordinator, so runs
-    /// stay deterministic per seed.
-    policy: Option<AutoBalancePolicy>,
-    probe: Option<ActorId>,
-    probe_seq: u64,
-    last_probe_cmd: Option<Command>,
-    metrics: MetricRegistry,
-    per_replica: bool,
-}
-
-impl ClusterBuilder {
-    /// Constructs a sharded cluster: `shard.groups` independent replica
-    /// groups over the same `n` simulated nodes (distinct actor per
-    /// `(node, group)`, one shared network/clock/fault injector), with
-    /// clients that resolve each key to its owning group.
-    ///
-    /// With `groups == 1` this reduces *exactly* to
-    /// [`ClusterBuilder::build`]'s actor layout, wire format and RNG
-    /// schedule, so a 1-group sharded run reproduces the unsharded
-    /// fixed-seed fingerprints bit for bit (pinned by a conformance
-    /// test).
-    ///
-    /// # Panics
-    ///
-    /// Panics if region placement does not match the replica count.
-    pub fn build_sharded(self) -> ShardedCluster {
-        assert_eq!(self.regions.len(), self.replicas, "one region per replica");
-        let groups = self.shard.groups.max(1);
-        let n = self.replicas;
-        let mut sim = Simulation::new(self.net.clone(), self.seed);
-        if self.telemetry.trace_capacity > 0 {
-            sim.enable_trace(self.telemetry.trace_capacity);
-        }
-        if self.telemetry.trace_spans {
-            sim.enable_spans();
-        }
-        // Provision the disks: one per *node*, shared by all of that
-        // node's group replicas — co-located groups contend for the same
-        // device the way co-located flows contend for one NIC.
-        let disk = self.durability.disk_config();
-        let provision_disks = !disk.is_zero_cost();
-        if provision_disks {
-            sim.set_disk_config(disk);
-        }
-        let router = ShardRouter::from_workload(&self.workload, groups);
-        let client_base = groups * n;
-        let mut group_actors = Vec::with_capacity(groups);
-        let mut leaders = Vec::with_capacity(groups);
-        for g in 0..groups {
-            let peers: Vec<ActorId> = (g * n..(g + 1) * n).map(ActorId).collect();
-            let leader = self.shard.placement.leader_of(self.leader, g, n);
-            leaders.push(leader);
-            // A single-group cluster *is* the unsharded cluster: no
-            // membership means no routing header on the wire and no
-            // redirect checks, preserving the unsharded fingerprints.
-            let membership = (groups > 1).then(|| ShardMembership {
-                group: g as u32,
-                router: router.clone(),
-            });
-            let mut actors = Vec::with_capacity(n);
-            for i in 0..n {
-                let mut cfg = self.replica_config(
-                    NodeId(i as u32),
-                    peers.clone(),
-                    client_base,
-                    membership.clone(),
-                );
-                cfg.initial_leader = Some(leader);
-                let actor = sim.add_actor(self.regions[i], make_replica(self.protocol, cfg));
-                if provision_disks {
-                    // Disk id = node index: every group's replica on
-                    // node `i` shares node `i`'s device.
-                    sim.map_disk(actor, i);
-                }
-                actors.push(actor);
-            }
-            group_actors.push(actors);
-        }
-        // One workload client fleet per region, identical to the
-        // unsharded build (same RNG forks, same add order); each client
-        // routes per key over its region's member of every group.
-        let mut clients = Vec::new();
-        let mut rng = paxraft_sim::rng::SimRng::new(self.seed ^ 0xC11E57);
-        let mut workload = self.workload.clone();
-        workload.partitions = self.regions.len();
-        for (ri, &region) in self.regions.iter().enumerate() {
-            for _ in 0..self.clients_per_region {
-                let cid = clients.len() as u32;
-                let gen = Generator::new(workload.clone(), ri, rng.fork(cid as u64));
-                let mut wc = WorkloadClient::new(cid, group_actors[0][ri], gen);
-                wc.history_key = self.record_history_key;
-                if groups > 1 {
-                    wc.shard = Some(ClientRouting {
-                        router: router.clone(),
-                        targets: group_actors.iter().map(|ga| ga[ri]).collect(),
-                    });
-                }
-                let id = sim.add_actor(region, Box::new(wc));
-                clients.push(id);
-            }
-        }
-        // The rebalance coordinator rides at the next client id — but
-        // only when migrations are scripted or the auto-balance policy
-        // is on, so a non-rebalancing sharded cluster keeps the exact
-        // actor set (and RNG schedule) it had before live rebalancing
-        // existed.
-        let autobalance_on = self.autobalance.enabled();
-        if autobalance_on {
-            assert!(
-                self.telemetry.sampling_enabled(),
-                "auto-rebalancing reads the sampled load sketch; enable telemetry sampling"
-            );
-            assert!(groups > 1, "auto-rebalancing needs more than one group");
-        }
-        let coordinator = (self.rebalance.enabled() || autobalance_on).then(|| {
-            let coord_client = clients.len() as u32;
-            let coord = RebalanceCoordinator::new(
-                coord_client,
-                router.clone(),
-                self.rebalance.migrations.clone(),
-                group_actors.clone(),
-                clients.clone(),
-                self.rebalance
-                    .concurrency()
-                    .max(self.autobalance.max_concurrent),
-            );
-            // Place the coordinator in the base leader's region (a real
-            // deployment runs it near the config service).
-            sim.add_actor(self.regions[self.leader.0 as usize], Box::new(coord))
-        });
-        let policy = autobalance_on.then(|| AutoBalancePolicy::new(self.autobalance.clone()));
-        ShardedCluster {
-            sim,
-            protocol: self.protocol,
-            group_actors,
-            clients,
-            regions: self.regions,
-            leaders,
-            router,
-            coordinator,
-            policy,
-            probe: None,
-            probe_seq: 0,
-            last_probe_cmd: None,
-            metrics: MetricRegistry::new(&self.telemetry),
-            per_replica: self.telemetry.per_replica,
-        }
-    }
-}
-
-impl ShardedCluster {
-    /// Starts a builder (alias for [`Cluster::builder`]; finish with
-    /// [`ClusterBuilder::build_sharded`]).
-    pub fn builder(protocol: ProtocolKind) -> ClusterBuilder {
-        Cluster::builder(protocol)
-    }
-
-    /// The protocol under test.
-    pub fn protocol(&self) -> ProtocolKind {
-        self.protocol
-    }
-
-    /// Number of replica groups.
-    pub fn num_groups(&self) -> usize {
-        self.group_actors.len()
-    }
-
+impl Cluster {
     /// The build-time key-range partition map (version 0). Live
     /// rebalancing does not edit this copy; see
-    /// [`ShardedCluster::current_router`].
+    /// [`Cluster::current_router`].
     pub fn router(&self) -> &ShardRouter {
         &self.router
     }
@@ -380,317 +189,12 @@ impl ShardedCluster {
         }
     }
 
-    /// Group `g`'s replica actors, indexed by node.
-    pub fn group_replicas(&self, g: usize) -> &[ActorId] {
-        &self.group_actors[g]
-    }
-
-    /// The actor serving group `g` on node `node`.
-    pub fn replica(&self, g: usize, node: NodeId) -> ActorId {
-        self.group_actors[g][node.0 as usize]
-    }
-
-    /// Client actor ids.
-    pub fn clients(&self) -> &[ActorId] {
-        &self.clients
-    }
-
-    /// Each group's bootstrap leader node.
-    pub fn leaders(&self) -> &[NodeId] {
-        &self.leaders
-    }
-
-    /// Whether some replica of group `g` currently claims leadership.
-    pub fn group_has_leader(&self, g: usize) -> bool {
-        self.group_actors[g]
-            .iter()
-            .any(|&r| replica_is_leader(&self.sim, self.protocol, r))
-    }
-
-    /// Whether every group has a leader.
-    pub fn has_all_leaders(&self) -> bool {
-        (0..self.num_groups()).all(|g| self.group_has_leader(g))
-    }
-
-    /// Runs until every group has elected (and leases, if any, are live).
-    pub fn elect_leaders(&mut self) {
-        let deadline = self.sim.now() + SimDuration::from_secs(30);
-        while !self.has_all_leaders() && self.sim.now() < deadline {
-            self.sim.run_for(SimDuration::from_millis(50));
-        }
-        assert!(self.has_all_leaders(), "every group elects within 30s");
-        if matches!(
-            self.protocol,
-            ProtocolKind::RaftStarPql | ProtocolKind::LeaderLease
-        ) {
-            self.sim.run_for(SimDuration::from_millis(700));
-        }
-    }
-
-    /// Per-group commit/snapshot/pipeline counters, read from the same
-    /// named [`MetricSample`]s the virtual-time sampler folds into
-    /// time-series (one source of truth for aggregates and series).
-    pub fn per_group_stats(&self) -> Vec<GroupStats> {
-        self.group_actors
-            .iter()
-            .enumerate()
-            .map(|(g, actors)| {
-                let mut snapshots = SnapshotStats::default();
-                let mut pipeline = PipelineStats::default();
-                let mut durability = DurabilityStats::default();
-                let mut sample = MetricSample::default();
-                for &r in actors {
-                    snapshots.absorb(&replica_snap_stats(&self.sim, self.protocol, r));
-                    pipeline.absorb(&replica_pipeline_stats(&self.sim, self.protocol, r));
-                    durability.absorb(&replica_durability_stats(&self.sim, self.protocol, r));
-                    sample.merge_sum(&replica_metrics(&self.sim, self.protocol, r));
-                }
-                GroupStats {
-                    group: g as u32,
-                    leader: self.leaders[g],
-                    responses: sample.get("responses") as u64,
-                    snapshots,
-                    pipeline,
-                    durability,
-                    range_exports: sample.get("range_exports") as u64,
-                    range_installs: sample.get("range_installs") as u64,
-                }
-            })
-            .collect()
-    }
-
-    /// Submits one operation through an internal probe client, routed to
-    /// the leader of the group owning the operation's key, and waits for
-    /// its reply.
-    ///
-    /// # Errors
-    ///
-    /// Returns `Err` if no reply arrives within 30 virtual seconds.
-    pub fn submit_and_wait(&mut self, op: Op) -> Result<Reply, String> {
-        use crate::probe::ProbeClient;
-        self.sim.start();
-        let pid = match self.probe {
-            Some(pid) => pid,
-            None => {
-                let region = self.regions[self.leaders[0].0 as usize];
-                let pid = self.sim.add_actor(region, Box::new(ProbeClient::default()));
-                self.probe = Some(pid);
-                pid
-            }
-        };
-        let replica_count = self.num_groups() * self.regions.len();
-        let client_index = (pid.0 - replica_count) as u32;
-        self.probe_seq += 1;
-        let id = CmdId {
-            client: client_index,
-            seq: self.probe_seq,
-        };
-        let cmd = Command { id, op };
-        self.last_probe_cmd = Some(cmd.clone());
-        // Route by the *current* map (migrations move ranges while
-        // probes run); a raced move is reconciled by the probe's
-        // WrongGroup handling.
-        let router = self.current_router();
-        let g = cmd.op.key().map_or(0, |k| router.group_of(k)) as usize;
-        // Target the owning group's configured leader unless it is
-        // crashed; fall back to the group's first live replica (its
-        // forwarding finds the actual leader).
-        let mut target = self.replica(g, self.leaders[g]);
-        if self.sim.is_crashed(target) {
-            target = *self.group_actors[g]
-                .iter()
-                .find(|&&r| !self.sim.is_crashed(r))
-                .expect("at least one live replica in the group");
-        }
-        // Give the probe one live replica per group so it can follow
-        // versioned redirects.
-        let group_targets: Vec<ActorId> = (0..self.num_groups())
-            .map(|g| {
-                let preferred = self.replica(g, self.leaders[g]);
-                if self.sim.is_crashed(preferred) {
-                    *self.group_actors[g]
-                        .iter()
-                        .find(|&&r| !self.sim.is_crashed(r))
-                        .expect("at least one live replica in the group")
-                } else {
-                    preferred
-                }
-            })
-            .collect();
-        {
-            let p = self.sim.actor_mut::<ProbeClient>(pid);
-            p.waiting = Some(id);
-            p.reply = None;
-            p.group_targets = group_targets;
-            p.outbox = Some((target, Msg::Client(ClientMsg::Request { cmd })));
-        }
-        let deadline = self.sim.now() + SimDuration::from_secs(30);
-        while self.sim.now() < deadline {
-            self.sim.run_for(SimDuration::from_millis(20));
-            if let Some(r) = self.sim.actor::<ProbeClient>(pid).reply.clone() {
-                return Ok(r);
-            }
-        }
-        Err("probe timed out".into())
-    }
-
-    /// The last command [`ShardedCluster::submit_and_wait`] sent —
-    /// tests re-inject it verbatim to model a client retransmission
-    /// (same `CmdId`), e.g. a retry that crosses a range migration.
-    pub fn last_probe_command(&self) -> Option<Command> {
-        self.last_probe_cmd.clone()
-    }
-
-    /// Runs `warmup + measure + cooldown`, aggregating completions from
-    /// every client exactly like [`Cluster::run_measurement`] — the
-    /// "leader region" latency split is anchored at group 0's leader —
-    /// and summing snapshot/pipeline counters over *all* groups.
-    pub fn run_measurement(
-        &mut self,
-        warmup: SimDuration,
-        measure: SimDuration,
-        cooldown: SimDuration,
-    ) -> RunReport {
-        self.advance(warmup);
-        let w_start = self.sim.now().as_nanos();
-        self.advance(measure);
-        let w_end = self.sim.now().as_nanos();
-        self.advance(cooldown);
-
-        let leader_region = self.regions[self.leaders[0].0 as usize];
-        let mut leader_reads = LatencyRecorder::new();
-        let mut follower_reads = LatencyRecorder::new();
-        let mut leader_writes = LatencyRecorder::new();
-        let mut follower_writes = LatencyRecorder::new();
-        let mut completed: u64 = 0;
-        let mut histories = Vec::new();
-        for &c in &self.clients {
-            let region = self.sim.region_of(c);
-            let is_leader_group = region == leader_region;
-            let client = self.sim.actor::<WorkloadClient>(c);
-            for comp in &client.completions {
-                if !(w_start..w_end).contains(&comp.at_ns) {
-                    continue;
-                }
-                completed += 1;
-                match (comp.kind, is_leader_group) {
-                    (OpKind::Read, true) => leader_reads.record_ns(comp.latency_ns),
-                    (OpKind::Read, false) => follower_reads.record_ns(comp.latency_ns),
-                    (OpKind::Write, true) => leader_writes.record_ns(comp.latency_ns),
-                    (OpKind::Write, false) => follower_writes.record_ns(comp.latency_ns),
-                }
-            }
-            histories.extend(client.history_records());
-        }
-        let per_group = self.per_group_stats();
-        let mut snapshots = SnapshotStats::default();
-        let mut pipeline = PipelineStats::default();
-        let mut durability = DurabilityStats::default();
-        for gs in &per_group {
-            snapshots.absorb(&gs.snapshots);
-            pipeline.absorb(&gs.pipeline);
-            durability.absorb(&gs.durability);
-        }
-        RunReport {
-            throughput_ops: completed as f64 / measure.as_secs_f64(),
-            leader_reads: leader_reads.paper_triple_ms(),
-            follower_reads: follower_reads.paper_triple_ms(),
-            leader_writes: leader_writes.paper_triple_ms(),
-            follower_writes: follower_writes.paper_triple_ms(),
-            histories,
-            snapshots,
-            pipeline,
-            durability,
-            telemetry: self.metrics.snapshot(),
-            latency_hists: self.metrics.hist_snapshot(),
-            spans: self.span_report(),
-        }
-    }
-
-    /// Assembles the span log recorded so far into per-command latency
-    /// breakdowns (`None` unless span tracing is enabled). The
-    /// migration story reads directly off the per-command fields:
-    /// redirect cost is the `redirects` bounces' network share,
-    /// freeze-bounce cost is `stalls` × the stall queueing time, and
-    /// destination queueing is the queueing/batching booked at the
-    /// group that finally served the command
-    /// ([`CommandBreakdown::served_by`] → [`ShardedCluster::group_of_replica`]).
-    pub fn span_report(&self) -> Option<crate::telemetry::SpanReport> {
-        self.sim
-            .trace()
-            .spans_enabled()
-            .then(|| crate::telemetry::SpanAssembler::assemble(self.sim.trace().spans()))
-    }
-
-    /// The group a replica actor belongs to (`None` for client actors).
-    pub fn group_of_replica(&self, a: ActorId) -> Option<u32> {
-        let n = self.group_actors.first().map_or(0, Vec::len);
-        let groups = self.group_actors.len();
-        (n > 0 && a.0 < n * groups).then(|| (a.0 / n) as u32)
-    }
-
-    /// Advances virtual time by `d`, pausing at each due sampling
-    /// instant to fold every group's replica state into the metric
-    /// registry (`group{g}/…` series). Sampling is read-only between
-    /// simulation steps, so enabling it never changes the event
-    /// schedule or the RNG stream.
-    pub fn advance(&mut self, d: SimDuration) {
-        let target = self.sim.now() + d;
-        if !self.metrics.enabled() {
-            self.sim.run_until(target);
-            return;
-        }
-        self.metrics.fast_forward(self.sim.now());
-        while self.metrics.next_due() <= target {
-            self.sim.run_until(self.metrics.next_due());
-            let now = self.sim.now();
-            let mut cluster_sample = MetricSample::default();
-            for (g, actors) in self.group_actors.iter().enumerate() {
-                let (sample, nic, disk) = group_sample_now(&self.sim, self.protocol, actors);
-                record_group_sample(&mut self.metrics, now, g as u32, &sample, nic, disk);
-                if self.per_replica {
-                    record_replica_samples(
-                        &mut self.metrics,
-                        &self.sim,
-                        self.protocol,
-                        now,
-                        actors,
-                    );
-                }
-                cluster_sample.merge_sum(&sample);
-            }
-            self.sample_latency_histograms(now);
-            self.tick_policy(now, &cluster_sample);
-            self.metrics.advance();
-        }
-        self.sim.run_until(target);
-    }
-
-    /// Folds every client's per-group completion-latency histogram into
-    /// one `group{g}/latency` snapshot per group. Cumulative snapshots:
-    /// [`HistogramSeries::window`] recovers any phase by subtraction.
-    fn sample_latency_histograms(&mut self, now: SimTime) {
-        let groups = self.group_actors.len();
-        let mut hists = vec![LatencyHistogram::default(); groups];
-        for &c in &self.clients {
-            let client = self.sim.actor::<WorkloadClient>(c);
-            for (g, h) in client.group_latency.iter().enumerate() {
-                if g < groups {
-                    hists[g].merge(h);
-                }
-            }
-        }
-        for (g, h) in hists.into_iter().enumerate() {
-            self.metrics.histogram(now, &format!("group{g}/latency"), h);
-        }
-    }
-
     /// One closed-loop control step: hand the policy the cluster-wide
     /// load sketch plus the coordinator's in-flight picture, and enqueue
     /// whatever migrations it decides. Runs between sim steps at the
     /// sampling cadence, so decisions are a pure function of the run so
     /// far — two identical seeds produce identical decision logs.
-    fn tick_policy(&mut self, now: SimTime, cluster_sample: &MetricSample) {
+    pub(crate) fn tick_policy(&mut self, now: SimTime, cluster_sample: &MetricSample) {
         let (Some(policy), Some(coord)) = (self.policy.as_mut(), self.coordinator) else {
             return;
         };
@@ -717,19 +221,18 @@ impl ShardedCluster {
             });
         }
     }
-
-    /// The sampled per-group metric time-series collected so far (empty
-    /// unless telemetry sampling is enabled).
-    pub fn telemetry_series(&self) -> Vec<TimeSeries> {
-        self.metrics.snapshot()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::client::WorkloadClient;
+    use crate::harness::ProtocolKind;
+    use crate::kv::{CmdId, Command, Op, Reply};
+    use crate::msg::Msg;
     use crate::snapshot::SnapshotConfig;
-    use paxraft_sim::time::SimTime;
+    use crate::testutil::run_fingerprint;
+    use paxraft_sim::net::Region;
     use paxraft_workload::generator::WorkloadConfig;
 
     fn parity_workload() -> WorkloadConfig {
@@ -737,62 +240,6 @@ mod tests {
             read_fraction: 0.5,
             conflict_rate: 0.2,
             ..Default::default()
-        }
-    }
-
-    fn report_fingerprint(r: &RunReport, now: SimTime) -> String {
-        format!(
-            "thr={:.6} lr={:?} fr={:?} lw={:?} fw={:?} snaps={:?} pipe={:?} now={}",
-            r.throughput_ops,
-            r.leader_reads,
-            r.follower_reads,
-            r.leader_writes,
-            r.follower_writes,
-            r.snapshots,
-            r.pipeline,
-            now
-        )
-    }
-
-    /// The acceptance gate for the sharding subsystem: a 1-group sharded
-    /// cluster must reproduce the unsharded fixed-seed fingerprints
-    /// bit for bit — same actor layout, same wire sizes, same RNG
-    /// schedule (the pinned PARITY file is the same configuration; the
-    /// parity example diff in CI covers unsharded-vs-pin, this test
-    /// covers sharded-vs-unsharded).
-    #[test]
-    fn one_group_sharded_run_matches_unsharded_bit_for_bit() {
-        for p in [
-            ProtocolKind::Raft,
-            ProtocolKind::MultiPaxos,
-            ProtocolKind::RaftStarMencius,
-        ] {
-            let build = || {
-                Cluster::builder(p)
-                    .clients_per_region(2)
-                    .workload(parity_workload())
-                    .seed(7)
-            };
-            let mut unsharded = build().build();
-            unsharded.elect_leader();
-            let ur = unsharded.run_measurement(
-                SimDuration::from_secs(2),
-                SimDuration::from_secs(5),
-                SimDuration::from_secs(1),
-            );
-            let mut sharded = build().shard_config(ShardConfig::groups(1)).build_sharded();
-            sharded.elect_leaders();
-            let sr = sharded.run_measurement(
-                SimDuration::from_secs(2),
-                SimDuration::from_secs(5),
-                SimDuration::from_secs(1),
-            );
-            assert_eq!(
-                report_fingerprint(&ur, unsharded.sim.now()),
-                report_fingerprint(&sr, sharded.sim.now()),
-                "{}: shards=1 is the unsharded cluster",
-                p.name()
-            );
         }
     }
 
@@ -818,14 +265,14 @@ mod tests {
                 .workload(parity_workload())
                 .telemetry_config(telemetry)
                 .seed(31)
-                .build_sharded();
-            cluster.elect_leaders();
+                .build();
+            cluster.elect_leader();
             let r = cluster.run_measurement(
                 SimDuration::from_secs(2),
                 SimDuration::from_secs(4),
                 SimDuration::from_secs(1),
             );
-            let fp = report_fingerprint(&r, cluster.sim.now());
+            let fp = run_fingerprint(&r, cluster.sim.now());
             (fp, r.telemetry)
         };
         let (off, series_off) = run(TelemetryConfig::default());
@@ -869,14 +316,14 @@ mod tests {
                 .workload(parity_workload())
                 .telemetry_config(telemetry)
                 .seed(31)
-                .build_sharded();
-            cluster.elect_leaders();
+                .build();
+            cluster.elect_leader();
             let r = cluster.run_measurement(
                 SimDuration::from_secs(2),
                 SimDuration::from_secs(4),
                 SimDuration::from_secs(1),
             );
-            let fp = report_fingerprint(&r, cluster.sim.now());
+            let fp = run_fingerprint(&r, cluster.sim.now());
             let replicas: Vec<_> = (0..2)
                 .flat_map(|g| cluster.group_replicas(g).to_vec())
                 .collect();
@@ -933,8 +380,8 @@ mod tests {
             let mut cluster = Cluster::builder(p)
                 .shard_config(ShardConfig::groups(2))
                 .seed(11)
-                .build_sharded();
-            cluster.elect_leaders();
+                .build();
+            cluster.elect_leader();
             let (g0_lo, _) = cluster.router().range(0);
             let (g1_lo, _) = cluster.router().range(1);
             // Both groups serve before the fault.
@@ -995,8 +442,8 @@ mod tests {
                 ..Default::default()
             })
             .seed(3)
-            .build_sharded();
-        cluster.elect_leaders();
+            .build();
+        cluster.elect_leader();
         // Swap every client's router for a stale single-group map:
         // all keys resolve to group 0, so half the traffic (group 1
         // keys) is misrouted and must be redirected.
@@ -1041,10 +488,8 @@ mod tests {
         for g in 0..2 {
             let (lo, hi) = cluster.router().range(g);
             for node in 0..5u32 {
-                let rep = cluster
-                    .sim
-                    .actor::<crate::raft::RaftReplica>(cluster.replica(g, NodeId(node)));
-                for (k, _) in rep.kv().snapshot().table.iter() {
+                let kv = cluster.replica_view(cluster.replica(g, NodeId(node))).kv();
+                for (k, _) in kv.snapshot().table.iter() {
                     assert!(
                         (lo..hi).contains(k),
                         "group {g} applied only its own keys (found {k})"
@@ -1065,8 +510,8 @@ mod tests {
             .shard_config(ShardConfig::groups(2))
             .snapshot_config(SnapshotConfig::every(16))
             .seed(5)
-            .build_sharded();
-        cluster.elect_leaders();
+            .build();
+        cluster.elect_leader();
         let (g0_lo, _) = cluster.router().range(0);
         let (g1_lo, _) = cluster.router().range(1);
         // Warm-up commit (also materializes the probe actor, so the
@@ -1117,11 +562,10 @@ mod tests {
             "group 1 never needed (or saw) a transfer ({:?})",
             stats[1].snapshots
         );
-        let lagger = cluster.sim.actor::<crate::raft::RaftReplica>(victim);
+        let applied = cluster.replica_view(victim).applied_index();
         assert!(
-            lagger.applied_index().0 + 16 >= 40,
-            "rejoined replica converged ({})",
-            lagger.applied_index()
+            applied.0 + 16 >= 40,
+            "rejoined replica converged ({applied})"
         );
     }
 
@@ -1133,8 +577,8 @@ mod tests {
         let mut cluster = Cluster::builder(ProtocolKind::Raft)
             .shard_config(ShardConfig::groups(2))
             .seed(9)
-            .build_sharded();
-        cluster.elect_leaders();
+            .build();
+        cluster.elect_leader();
         let target = cluster.replica(0, cluster.leaders()[0]);
         let cmd = Command::put(CmdId { client: 0, seq: 1 }, 1, vec![0; 8]);
         cluster.sim.send_external(
@@ -1180,8 +624,8 @@ mod tests {
             .telemetry_config(TelemetryConfig::sampled())
             .autobalance_config(AutoBalanceConfig::standard())
             .seed(23)
-            .build_sharded();
-        cluster.elect_leaders();
+            .build();
+        cluster.elect_leader();
         cluster.run_measurement(
             SimDuration::from_secs(2),
             SimDuration::from_secs(10),
@@ -1247,8 +691,8 @@ mod tests {
                 .telemetry_config(TelemetryConfig::sampled())
                 .autobalance_config(AutoBalanceConfig::standard())
                 .seed(29)
-                .build_sharded();
-            cluster.elect_leaders();
+                .build();
+            cluster.elect_leader();
             cluster.run_measurement(
                 SimDuration::from_secs(2),
                 SimDuration::from_secs(12),
@@ -1292,8 +736,8 @@ mod tests {
             if let Some(cfg) = autobalance {
                 b = b.autobalance_config(cfg);
             }
-            let mut cluster = b.build_sharded();
-            cluster.elect_leaders();
+            let mut cluster = b.build();
+            cluster.elect_leader();
             let r = cluster.run_measurement(
                 SimDuration::from_secs(2),
                 SimDuration::from_secs(4),
@@ -1301,7 +745,7 @@ mod tests {
             );
             assert!(cluster.coordinator().is_none(), "no controller actor");
             assert!(cluster.policy().is_none(), "no policy state");
-            report_fingerprint(&r, cluster.sim.now())
+            run_fingerprint(&r, cluster.sim.now())
         };
         assert_eq!(
             run(None),

@@ -1,5 +1,5 @@
 //! Multi-group sharding: many replica groups per node, key-range
-//! routing, and the sharded cluster harness.
+//! routing, and live rebalancing.
 //!
 //! One consensus group is bounded by its leader's CPU (Figures 9c/10a:
 //! "the leader's CPU is the bottleneck"). The standard production
@@ -15,11 +15,14 @@
 //! - [`ShardMembership`] — what one replica knows about the partition
 //!   map: its own group plus the router, used to answer misrouted
 //!   commands with [`crate::kv::Reply::WrongGroup`].
-//! - [`ShardedCluster`] — `groups` independent `ReplicaEngine` groups
-//!   over the same simulated nodes (distinct actor per `(node, group)`,
-//!   shared network/clock/fault injection), with per-group leader
-//!   placement ([`LeaderPlacement`]) and clients that resolve each key
-//!   to its group ([`crate::client::ClientRouting`]).
+//! - [`ShardConfig`] — how many groups
+//!   [`crate::harness::ClusterBuilder::build`] runs: `groups`
+//!   independent `ReplicaEngine` groups over the same simulated nodes
+//!   (distinct actor per `(node, group)`, shared network/clock/fault
+//!   injection), with per-group leader placement ([`LeaderPlacement`])
+//!   and clients that resolve each key to its group
+//!   ([`crate::client::ClientRouting`]). One group is the unsharded
+//!   cluster.
 //! - [`migration`] + [`RebalanceCoordinator`] — **live rebalancing**:
 //!   the partition map is versioned, and a coordinator moves key
 //!   ranges between groups through the groups' own logs (freeze →
@@ -45,7 +48,7 @@ mod rebalance;
 mod router;
 
 pub use autobalance::{AutoBalanceConfig, AutoBalancePolicy, BalanceDecision};
-pub use cluster::{GroupStats, LeaderPlacement, ShardConfig, ShardedCluster};
+pub use cluster::{GroupStats, LeaderPlacement, ShardConfig};
 pub use migration::{MigrationSpec, RouterVersion};
 pub use rebalance::{RebalanceConfig, RebalanceCoordinator};
 pub use router::{ShardMembership, ShardRouter};

@@ -417,10 +417,11 @@ mod tests {
     use paxraft_workload::generator::WorkloadConfig;
     use paxraft_workload::linearize::check_history;
 
-    use crate::harness::{replica_kv, Cluster, ProtocolKind};
+    use crate::harness::{Cluster, ProtocolKind};
     use crate::kv::{Key, Op, Reply};
     use crate::msg::{ClientMsg, Msg};
-    use crate::shard::{MigrationSpec, RebalanceConfig, ShardConfig, ShardedCluster};
+    use crate::shard::{MigrationSpec, RebalanceConfig, ShardConfig};
+    use crate::testutil::run_fingerprint;
     use crate::types::NodeId;
 
     /// The six protocols the migration safety suite must cover — the
@@ -438,7 +439,7 @@ mod tests {
     /// Two groups, one scripted migration of the upper half of group
     /// 0's range to group 1 at `at`. The tiny chunk size forces the
     /// export through a genuinely multi-chunk transfer.
-    fn build(p: ProtocolKind, seed: u64, at: SimDuration) -> (ShardedCluster, Key, Key) {
+    fn build(p: ProtocolKind, seed: u64, at: SimDuration) -> (Cluster, Key, Key) {
         let router = crate::shard::ShardRouter::new(WorkloadConfig::default().records, 2);
         let (lo0, hi0) = router.range(0);
         let mid = (lo0 + hi0) / 2;
@@ -455,13 +456,13 @@ mod tests {
                 to_group: 1,
             }))
             .seed(seed)
-            .build_sharded();
+            .build();
         (cluster, mid, hi0)
     }
 
     /// Writes one marker key on each side of the future split boundary
     /// and returns them.
-    fn seed_keys(cluster: &mut ShardedCluster, mid: Key) -> (Key, Key) {
+    fn seed_keys(cluster: &mut Cluster, mid: Key) -> (Key, Key) {
         let staying = mid - 1;
         let moving = mid + 1;
         for key in [staying, moving] {
@@ -481,7 +482,7 @@ mod tests {
     /// replicas hold a key the map says belongs elsewhere** — nothing
     /// lost, nothing duplicated, nothing applied in two groups.
     fn assert_migrated(
-        cluster: &mut ShardedCluster,
+        cluster: &mut Cluster,
         p: ProtocolKind,
         staying: Key,
         moving: Key,
@@ -520,7 +521,7 @@ mod tests {
                 if cluster.sim.is_crashed(actor) {
                     continue;
                 }
-                let kv = replica_kv(&cluster.sim, p, actor);
+                let kv = cluster.replica_view(actor).kv();
                 let snap = kv.snapshot();
                 for (k, _) in snap.table.iter() {
                     let owner = router.group_of(*k);
@@ -544,7 +545,7 @@ mod tests {
     fn scripted_range_move_is_exactly_once_for_every_protocol() {
         for p in PROTOCOLS {
             let (mut cluster, mid, hi) = build(p, 13, SimDuration::from_secs(4));
-            cluster.elect_leaders();
+            cluster.elect_leader();
             let (staying, moving) = seed_keys(&mut cluster, mid);
             cluster.run_until_rebalanced(SimDuration::from_secs(60));
             assert_eq!(cluster.migrations_completed(), vec![1]);
@@ -577,7 +578,7 @@ mod tests {
         for p in PROTOCOLS {
             let name = p.name();
             let (mut cluster, mid, hi) = build(p, 29, SimDuration::from_secs(4));
-            cluster.elect_leaders();
+            cluster.elect_leader();
             let (staying, moving) = seed_keys(&mut cluster, mid);
             // The moving-key put is the probe's last pre-migration
             // command; keep it for retransmission after the move.
@@ -588,14 +589,14 @@ mod tests {
             assert_eq!(cluster.migrations_completed(), vec![1], "{name}");
             // Let every group-1 replica finish installing the range.
             cluster.sim.run_for(SimDuration::from_secs(2));
-            let applied_on_dest = |cluster: &ShardedCluster| -> Vec<(u32, u64)> {
+            let applied_on_dest = |cluster: &Cluster| -> Vec<(u32, u64)> {
                 (0..5u32)
                     .filter_map(|node| {
                         let actor = cluster.replica(1, NodeId(node));
                         if cluster.sim.is_crashed(actor) {
                             None
                         } else {
-                            Some((node, replica_kv(&cluster.sim, p, actor).applied_ops()))
+                            Some((node, cluster.replica_view(actor).kv().applied_ops()))
                         }
                     })
                     .collect()
@@ -624,7 +625,7 @@ mod tests {
     fn source_leader_crash_mid_export_does_not_lose_the_range() {
         for p in PROTOCOLS {
             let (mut cluster, mid, hi) = build(p, 17, SimDuration::from_secs(4));
-            cluster.elect_leaders();
+            cluster.elect_leader();
             let (staying, moving) = seed_keys(&mut cluster, mid);
             // Crash the source group's leader right around the freeze
             // commit / first export; a successor must pick the transfer
@@ -642,7 +643,7 @@ mod tests {
     fn dest_leader_crash_before_install_recovers() {
         for p in PROTOCOLS {
             let (mut cluster, mid, hi) = build(p, 19, SimDuration::from_secs(4));
-            cluster.elect_leaders();
+            cluster.elect_leader();
             let (staying, moving) = seed_keys(&mut cluster, mid);
             // Crash the destination group's leader before the install
             // can commit; the export retries into the re-elected group.
@@ -659,7 +660,7 @@ mod tests {
     fn chunk_loss_during_transfer_is_retried_to_completion() {
         for p in PROTOCOLS {
             let (mut cluster, mid, hi) = build(p, 23, SimDuration::from_secs(4));
-            cluster.elect_leaders();
+            cluster.elect_leader();
             let (staying, moving) = seed_keys(&mut cluster, mid);
             // 15% uniform loss across the whole migration window: the
             // reassembler drops gapped transfers and the export pump's
@@ -701,8 +702,8 @@ mod tests {
                 .workload(workload)
                 .record_history_for(0)
                 .seed(29)
-                .build_sharded();
-            cluster.elect_leaders();
+                .build();
+            cluster.elect_leader();
             let report = cluster.run_measurement(
                 SimDuration::from_secs(2),
                 SimDuration::from_secs(6),
@@ -729,8 +730,8 @@ mod tests {
             // The hot key lives in exactly one group afterwards.
             cluster.sim.run_for(SimDuration::from_secs(2));
             for node in 0..5u32 {
-                let g0 = replica_kv(&cluster.sim, p, cluster.replica(0, NodeId(node)));
-                let g1 = replica_kv(&cluster.sim, p, cluster.replica(1, NodeId(node)));
+                let g0 = cluster.replica_view(cluster.replica(0, NodeId(node))).kv();
+                let g1 = cluster.replica_view(cluster.replica(1, NodeId(node))).kv();
                 assert!(
                     !g0.snapshot().table.contains_key(&0),
                     "{}: group 0 node {node} released the hot key",
@@ -788,8 +789,8 @@ mod tests {
                 .workload(workload)
                 .record_history_for(0)
                 .seed(29)
-                .build_sharded();
-            cluster.elect_leaders();
+                .build();
+            cluster.elect_leader();
             let report = cluster.run_measurement(
                 SimDuration::from_secs(2),
                 SimDuration::from_secs(6),
@@ -869,8 +870,8 @@ mod tests {
                         }),
                 )
                 .seed(37)
-                .build_sharded();
-            cluster.elect_leaders();
+                .build();
+            cluster.elect_leader();
             // One marker key in each moving range and one that stays.
             let keys = [quarter - 1, quarter + 1, mid + 1];
             for key in keys {
@@ -928,7 +929,7 @@ mod tests {
                     if cluster.sim.is_crashed(actor) {
                         continue;
                     }
-                    let kv = replica_kv(&cluster.sim, p, actor);
+                    let kv = cluster.replica_view(actor).kv();
                     for (k, _) in kv.snapshot().table.iter() {
                         let owner = router.group_of(*k);
                         assert_eq!(
@@ -967,8 +968,8 @@ mod tests {
                     }),
             )
             .seed(41)
-            .build_sharded();
-        cluster.elect_leaders();
+            .build();
+        cluster.elect_leader();
         for key in [25_000u64, 45_000] {
             let r = cluster
                 .submit_and_wait(Op::Put {
@@ -1004,7 +1005,7 @@ mod tests {
                 if cluster.sim.is_crashed(actor) {
                     continue;
                 }
-                let kv = replica_kv(&cluster.sim, p, actor);
+                let kv = cluster.replica_view(actor).kv();
                 for (k, _) in kv.snapshot().table.iter() {
                     let owner = router.group_of(*k);
                     assert_eq!(owner, g as u32, "key {k} in group {g}, owner {owner}");
@@ -1026,22 +1027,15 @@ mod tests {
             if with_empty_config {
                 b = b.rebalance_config(RebalanceConfig::default());
             }
-            let mut cluster = b.build_sharded();
+            let mut cluster = b.build();
             assert_eq!(cluster.coordinator(), None, "no coordinator actor");
-            cluster.elect_leaders();
+            cluster.elect_leader();
             let r = cluster.run_measurement(
                 SimDuration::from_secs(2),
                 SimDuration::from_secs(4),
                 SimDuration::from_secs(1),
             );
-            format!(
-                "thr={:.6} lw={:?} fw={:?} pipe={:?} now={}",
-                r.throughput_ops,
-                r.leader_writes,
-                r.follower_writes,
-                r.pipeline,
-                cluster.sim.now()
-            )
+            run_fingerprint(&r, cluster.sim.now())
         };
         assert_eq!(fingerprint(false), fingerprint(true));
     }

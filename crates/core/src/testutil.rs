@@ -11,6 +11,7 @@ use paxraft_sim::sim::{Actor, ActorId, Ctx, Simulation};
 use paxraft_sim::time::{SimDuration, SimTime};
 
 use crate::config::ReplicaConfig;
+use crate::harness::RunReport;
 use crate::kv::{CmdId, Command, Reply};
 use crate::msg::{ClientMsg, Msg};
 use crate::types::NodeId;
@@ -142,6 +143,25 @@ pub fn cluster_with(
     }
     let client = sim.add_actor(Region::Oregon, Box::new(TestClient::new(0, replicas[0])));
     (sim, replicas, client)
+}
+
+/// A fixed-seed fingerprint of one harness run: throughput, the four
+/// latency triples, the snapshot, pipeline and durability counters, and
+/// the virtual clock at `end`. Two runs that must be bit-for-bit
+/// identical compare equal here.
+pub fn run_fingerprint(r: &RunReport, end: SimTime) -> String {
+    format!(
+        "thr={} lr={:?} fr={:?} lw={:?} fw={:?} snaps={:?} pipe={:?} dur={:?} end={}",
+        r.throughput_ops,
+        r.leader_reads,
+        r.follower_reads,
+        r.leader_writes,
+        r.follower_writes,
+        r.snapshots,
+        r.pipeline,
+        r.durability,
+        end
+    )
 }
 
 /// Flight-recorder ring capacity for test clusters.

@@ -346,7 +346,7 @@ mod tests {
 
     #[test]
     fn ported_coorraft_refines_both_parents() {
-        // R3 in DESIGN.md.
+        // The generated Coordinated Raft* refines both parents.
         let c = cfg();
         let mp = multipaxos::spec(&c);
         let rs = raftstar::spec(&c);

@@ -373,7 +373,7 @@ mod tests {
 
     #[test]
     fn ported_rql_refines_pql_and_raftstar() {
-        // R2 in DESIGN.md: the generated Raft*-PQL refines both parents.
+        // The generated Raft*-PQL refines both parents.
         let c = cfg();
         let mp = multipaxos::spec(&c);
         let rs = raftstar::spec(&c);

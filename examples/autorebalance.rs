@@ -118,8 +118,8 @@ fn run(arm: &str, scenario: ScenarioConfig) -> Outcome {
         "policy" => builder.autobalance_config(AutoBalanceConfig::standard()),
         other => unreachable!("unknown arm {other}"),
     };
-    let mut cluster = builder.build_sharded();
-    cluster.elect_leaders();
+    let mut cluster = builder.build();
+    cluster.elect_leader();
     let report = cluster.run_measurement(
         SimDuration::from_secs(2),
         SimDuration::from_secs(12),

@@ -1,58 +1,9 @@
 //! Prints an exact behavioral fingerprint of a fixed-seed run for every
-//! protocol, used to verify that refactors preserve behavior bit-for-bit.
-
-use paxraft::core::harness::{Cluster, ProtocolKind};
-use paxraft::core::snapshot::SnapshotConfig;
-use paxraft::sim::time::SimDuration;
-use paxraft::workload::generator::WorkloadConfig;
-
-fn fingerprint(p: ProtocolKind, seed: u64, snapshots: bool) {
-    let w = WorkloadConfig {
-        read_fraction: 0.5,
-        conflict_rate: 0.2,
-        ..Default::default()
-    };
-    let mut b = Cluster::builder(p)
-        .clients_per_region(2)
-        .workload(w)
-        .seed(seed);
-    if snapshots {
-        b = b.snapshot_config(SnapshotConfig::every(32));
-    }
-    let mut cluster = b.build();
-    cluster.elect_leader();
-    let r = cluster.run_measurement(
-        SimDuration::from_secs(2),
-        SimDuration::from_secs(5),
-        SimDuration::from_secs(1),
-    );
-    println!(
-        "{} seed={} snaps={} thr={:.6} lr={:?} fr={:?} lw={:?} fw={:?} snapstats={:?} now={}",
-        p.name(),
-        seed,
-        snapshots,
-        r.throughput_ops,
-        r.leader_reads,
-        r.follower_reads,
-        r.leader_writes,
-        r.follower_writes,
-        r.snapshots,
-        cluster.sim.now()
-    );
-}
+//! protocol, used to verify that refactors preserve behavior bit-for-bit:
+//! `cargo run --release --example parity_fingerprint | diff PARITY_pr5.txt -`.
 
 fn main() {
-    for p in [
-        ProtocolKind::MultiPaxos,
-        ProtocolKind::Raft,
-        ProtocolKind::RaftStar,
-        ProtocolKind::RaftStarPql,
-        ProtocolKind::LeaderLease,
-        ProtocolKind::RaftStarMencius,
-    ] {
-        for seed in [7u64, 42] {
-            fingerprint(p, seed, false);
-        }
-        fingerprint(p, 11, true);
+    for line in paxraft::parity::lines() {
+        println!("{line}");
     }
 }

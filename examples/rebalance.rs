@@ -53,8 +53,8 @@ fn main() {
                     to_group: 1,
                 }),
         )
-        .build_sharded();
-    cluster.elect_leaders();
+        .build();
+    cluster.elect_leader();
     println!(
         "2 groups elected by {}; group 1 owns keys [{lo1}, {hi1})",
         cluster.sim.now()

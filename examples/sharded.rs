@@ -17,8 +17,8 @@ fn main() {
     let mut cluster = Cluster::builder(ProtocolKind::Raft)
         .seed(7)
         .shard_config(ShardConfig::groups(4).placement(LeaderPlacement::RoundRobin))
-        .build_sharded();
-    cluster.elect_leaders();
+        .build();
+    cluster.elect_leader();
     println!(
         "{} groups elected by virtual time {}; leaders at {:?}",
         cluster.num_groups(),
@@ -69,8 +69,8 @@ fn main() {
             .seed(42)
             .costs(CostModel::default().scaled_cpu(200))
             .shard_config(ShardConfig::groups(groups).placement(LeaderPlacement::RoundRobin))
-            .build_sharded();
-        c.elect_leaders();
+            .build();
+        c.elect_leader();
         let r = c.run_measurement(
             SimDuration::from_secs(2),
             SimDuration::from_secs(5),

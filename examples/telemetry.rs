@@ -76,8 +76,8 @@ fn main() {
             SimDuration::from_millis(2),
         ))
         .telemetry_config(TelemetryConfig::sampled())
-        .build_sharded();
-    cluster.elect_leaders();
+        .build();
+    cluster.elect_leader();
     println!(
         "2 groups elected by {}; sampling every 100ms; merge at 5.5s, split at 10.5s\n",
         cluster.sim.now()

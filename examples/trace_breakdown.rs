@@ -87,7 +87,7 @@ fn run(protocol: ProtocolKind, s: &Scenario) -> StageTotals {
     }
     let mut cluster = b.build();
     if let Some(fsync) = s.leader_fsync {
-        let leader = cluster.replicas()[cluster.leader().0 as usize];
+        let leader = cluster.replicas()[cluster.leaders()[0].0 as usize];
         cluster.sim.set_disk_config_for(
             leader,
             paxraft::sim::disk::DiskConfig {

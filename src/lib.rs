@@ -19,6 +19,7 @@
 //!   state machine, closed-loop clients and a cluster harness.
 //! - [`workload`] — the YCSB-like workload generator, latency/throughput
 //!   metrics and a linearizability checker.
+//! - [`parity`] — the fixed-seed fingerprints pinned in `PARITY_pr5.txt`.
 //!
 //! ## Quickstart
 //!
@@ -35,3 +36,5 @@ pub use paxraft_core as core;
 pub use paxraft_sim as sim;
 pub use paxraft_spec as spec;
 pub use paxraft_workload as workload;
+
+pub mod parity;

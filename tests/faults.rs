@@ -4,10 +4,6 @@
 
 use paxraft::core::harness::{Cluster, ProtocolKind};
 use paxraft::core::kv::{Op, Reply};
-use paxraft::core::mencius::MenciusReplica;
-use paxraft::core::multipaxos::MultiPaxosReplica;
-use paxraft::core::raft::RaftReplica;
-use paxraft::core::raftstar::RaftStarReplica;
 use paxraft::core::snapshot::{SnapshotConfig, SnapshotStats};
 use paxraft::sim::time::{SimDuration, SimTime};
 use paxraft::workload::generator::WorkloadConfig;
@@ -108,9 +104,10 @@ fn raftstar_leader_crash_preserves_committed_writes() {
         );
     }
     // A new leader exists and it is not the crashed node.
-    let new_leader = cluster.replicas().iter().find(|&&r| {
-        !cluster.sim.is_crashed(r) && cluster.sim.actor::<RaftStarReplica>(r).is_leader()
-    });
+    let new_leader = cluster
+        .replicas()
+        .iter()
+        .find(|&&r| !cluster.sim.is_crashed(r) && cluster.replica_view(r).is_leader());
     assert!(new_leader.is_some(), "failover elected a new leader");
 }
 
@@ -200,44 +197,20 @@ fn snapshot_catchup_with(
         .sim
         .heal_at(cluster.sim.now() + SimDuration::from_millis(1));
     cluster.sim.run_for(SimDuration::from_secs(12));
-    let r = cluster.replicas()[lagger];
-    let (stats, applied) = match p {
-        ProtocolKind::MultiPaxos => {
-            let rep = cluster.sim.actor::<MultiPaxosReplica>(r);
-            (rep.snap_stats(), rep.exec_index().0)
-        }
-        ProtocolKind::Raft => {
-            let rep = cluster.sim.actor::<RaftReplica>(r);
-            (rep.snap_stats(), rep.commit_index().0)
-        }
-        ProtocolKind::RaftStar => {
-            let rep = cluster.sim.actor::<RaftStarReplica>(r);
-            (rep.snap_stats(), rep.commit_index().0)
-        }
-        ProtocolKind::RaftStarMencius => {
-            let rep = cluster.sim.actor::<MenciusReplica>(r);
-            (rep.snap_stats(), rep.exec_index().0)
-        }
-        other => panic!("scenario not wired for {}", other.name()),
-    };
-    let max_applied = (0..total.min(5))
-        .map(|i| {
-            let rr = cluster.replicas()[i];
-            match p {
-                ProtocolKind::MultiPaxos => {
-                    cluster.sim.actor::<MultiPaxosReplica>(rr).exec_index().0
-                }
-                ProtocolKind::Raft => cluster.sim.actor::<RaftReplica>(rr).commit_index().0,
-                ProtocolKind::RaftStar => cluster.sim.actor::<RaftStarReplica>(rr).commit_index().0,
-                ProtocolKind::RaftStarMencius => {
-                    cluster.sim.actor::<MenciusReplica>(rr).exec_index().0
-                }
-                other => panic!("scenario not wired for {}", other.name()),
-            }
-        })
+    let lagging = cluster.replica_view(cluster.replicas()[lagger]);
+    let (stats, applied) = (lagging.snap_stats(), lagging.applied_index().0);
+    let max_applied = cluster
+        .replicas()
+        .iter()
+        .map(|&r| cluster.replica_view(r).applied_index().0)
         .max()
         .unwrap();
-    (stats, cluster.snapshot_stats(), applied, max_applied)
+    (
+        stats,
+        cluster.per_group_stats()[0].snapshots,
+        applied,
+        max_applied,
+    )
 }
 
 fn assert_caught_up_via_snapshot(p: ProtocolKind, seed: u64) {

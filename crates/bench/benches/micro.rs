@@ -15,10 +15,10 @@ use std::hint::black_box;
 use std::time::Instant;
 
 use paxraft_core::config::{LeaseConfig, ReadMode};
+use paxraft_core::engine::Progress;
 use paxraft_core::kv::{CmdId, Command};
 use paxraft_core::log::{Entry, Log};
 use paxraft_core::pql::LeaseManager;
-use paxraft_core::replicate::Replicator;
 use paxraft_core::types::{NodeId, Slot, Term};
 use paxraft_sim::net::{NetConfig, Region};
 use paxraft_sim::sim::{Actor, ActorId, Ctx, Payload, Simulation};
@@ -117,7 +117,7 @@ fn bench_bal_rewrite(rep: &mut Reporter) {
 
 fn bench_replicator(rep: &mut Reporter) {
     bench(rep, "replicator_ack_commit_track", 10, 50, || {
-        let mut r = Replicator::new(5);
+        let mut r = Progress::new(5, 8);
         for i in 1..=100u64 {
             for p in 1..5u32 {
                 r.on_ack(NodeId(p), Slot(i));
@@ -217,24 +217,22 @@ fn bench_cluster_commit(rep: &mut Reporter) {
 
 /// Pipeline-depth sweep on the high-latency WAN config: virtual time for
 /// one closed-loop client to complete 100 write commits, per window
-/// depth (0 = pipelining off, the pre-PR3 batching discipline), measured
-/// both co-located with the leader and from the farthest follower region
-/// (where the forward path pays the batch delay twice); plus aggregate
-/// closed-loop throughput. These rows are *virtual-clock* measurements —
+/// depth, measured co-located with the leader and (at the default depth)
+/// from the farthest follower region, where the forward path rides the
+/// leader's window hints; plus aggregate closed-loop throughput. These rows are *virtual-clock* measurements —
 /// deterministic for the fixed seed — so the perf trajectory across PRs
 /// is noise-free.
 fn bench_pipeline_sweep(rep: &mut Reporter) {
     use paxraft_core::client::WorkloadClient;
-    use paxraft_core::engine::PipelineConfig;
     use paxraft_core::harness::{Cluster, ProtocolKind};
     use paxraft_sim::rng::SimRng;
     use paxraft_sim::time::SimDuration;
     use paxraft_workload::generator::{Generator, WorkloadConfig};
 
-    let serial_100 = |pipeline: PipelineConfig, region_idx: usize| -> f64 {
+    let serial_100 = |depth: usize, region_idx: usize| -> f64 {
         let mut cluster = Cluster::builder(ProtocolKind::RaftStar)
             .seed(3)
-            .pipeline_config(pipeline)
+            .pipeline_depth(depth)
             .build();
         cluster.elect_leader();
         let writes = WorkloadConfig {
@@ -254,29 +252,19 @@ fn bench_pipeline_sweep(rep: &mut Reporter) {
         let done = cluster.sim.actor::<WorkloadClient>(wc_id).completions[99].at_ns;
         (done - added_at.as_nanos()) as f64 / 1e6
     };
-    for depth in [0usize, 2, 4, 8] {
-        let ms = serial_100(PipelineConfig::depth(depth), 0);
+    for depth in [2usize, 4, 8] {
+        let ms = serial_100(depth, 0);
         let name = format!("pipeline_depth{depth}_100_commits_leader_region_virtual_ms");
         println!("{name:<55} {ms:>10.3} ms (virtual)");
         rep.rows.push((name, ms));
     }
-    for depth in [0usize, 8] {
-        let ms = serial_100(PipelineConfig::depth(depth), 4); // Seoul: the farthest follower
-        let name = format!("pipeline_depth{depth}_100_commits_follower_region_virtual_ms");
-        println!("{name:<55} {ms:>10.3} ms (virtual)");
-        rep.rows.push((name, ms));
-    }
-    // Follower-side adaptive forwarding is on by default since PR 5;
-    // this row re-measures the old default (hints off) so the pair
-    // documents what the flip buys on the far-follower forward path
-    // (the ~2 ms batch delay per commit).
     {
-        let ms = serial_100(PipelineConfig::default().without_follower_hints(), 4);
-        let name = "pipeline_depth8_nohints_100_commits_follower_region_virtual_ms".to_string();
+        let ms = serial_100(8, 4); // Seoul: the farthest follower
+        let name = "pipeline_depth8_100_commits_follower_region_virtual_ms".to_string();
         println!("{name:<55} {ms:>10.3} ms (virtual)");
         rep.rows.push((name, ms));
     }
-    for depth in [0usize, 8] {
+    {
         let w = WorkloadConfig {
             read_fraction: 0.5,
             conflict_rate: 0.2,
@@ -286,7 +274,6 @@ fn bench_pipeline_sweep(rep: &mut Reporter) {
             .clients_per_region(2)
             .workload(w)
             .seed(7)
-            .pipeline_config(PipelineConfig::depth(depth))
             .build();
         cluster.elect_leader();
         let r = cluster.run_measurement(
@@ -294,7 +281,7 @@ fn bench_pipeline_sweep(rep: &mut Reporter) {
             SimDuration::from_secs(5),
             SimDuration::from_secs(1),
         );
-        let name = format!("raftstar_wan_closed_loop_depth{depth}_ops_per_sec");
+        let name = "raftstar_wan_closed_loop_depth8_ops_per_sec".to_string();
         println!("{name:<55} {:>10.1} ops/s (virtual)", r.throughput_ops);
         rep.rows.push((name, r.throughput_ops));
     }
@@ -354,14 +341,14 @@ fn bench_shard_sweep(rep: &mut Reporter) {
 }
 
 /// 4 KB-payload calibration (the paper's Figure 10b regime, where the
-/// NIC rather than the leader CPU saturates): sweep `pipeline_depth` and
-/// `batch_max` under 4 KB writes on a bandwidth-starved NIC (75 Mbps =
-/// the testbed's 750 Mbps scaled 10× down, so a 50-client closed loop
-/// reaches saturation). Justifies the defaults: once bytes dominate,
-/// larger batches cannot buy throughput (the NIC moves the same bytes
-/// either way), while pipelining still hides the round trip.
+/// NIC rather than the leader CPU saturates): closed-loop throughput of
+/// 4 KB writes at the default depth 8 and `batch_max` 64 on a
+/// bandwidth-starved NIC (75 Mbps = the testbed's 750 Mbps scaled 10×
+/// down, so a 50-client closed loop reaches saturation). Once the egress
+/// backlog crosses a quarter of the batch delay the NIC-aware cutter
+/// stops cutting eagerly and lets batching amortize per-message
+/// overhead.
 fn bench_payload_4kb(rep: &mut Reporter) {
-    use paxraft_core::engine::PipelineConfig;
     use paxraft_core::harness::{Cluster, ProtocolKind};
     use paxraft_sim::net::NetConfig;
     use paxraft_sim::time::SimDuration;
@@ -377,59 +364,22 @@ fn bench_payload_4kb(rep: &mut Reporter) {
         bandwidth_bps: 75.0e6,
         ..NetConfig::default()
     };
-    let run = |depth: usize, batch_max: usize| -> f64 {
-        let mut cluster = Cluster::builder(ProtocolKind::RaftStar)
-            .clients_per_region(10)
-            .workload(w.clone())
-            .seed(42)
-            .net(net.clone())
-            .batch_max(batch_max)
-            .pipeline_config(PipelineConfig::depth(depth))
-            .build();
-        cluster.elect_leader();
-        let r = cluster.run_measurement(
-            SimDuration::from_secs(2),
-            SimDuration::from_secs(5),
-            SimDuration::from_secs(1),
-        );
-        r.throughput_ops
-    };
-    // batch_max swept in the timer-batched regime (depth 0) where it
-    // actually binds; the depth-8 row now runs with the NIC-aware
-    // cutter (on by default since PR 5): once the egress backlog
-    // crosses a quarter of the batch delay the cutter stops cutting
-    // eagerly and accumulates, recovering about a third of the ~9%
-    // that per-command eager rounds lost to per-message overhead on a
-    // saturated NIC (the PR 4 finding; the residual gap comes from the
-    // per-peer window gating itself — see ROADMAP).
-    for (depth, batch_max) in [(0usize, 8usize), (0, 64), (0, 256), (8, 64)] {
-        let ops = run(depth, batch_max);
-        let name = format!("payload_4kb_depth{depth}_batchmax{batch_max}_ops_per_sec");
-        println!("{name:<55} {ops:>10.1} ops/s (virtual)");
-        rep.rows.push((name, ops));
-    }
-    // Regression row: the same depth-8 run with NIC-aware cutting
-    // forced off reproduces the PR 4 loss, pinning what the new cutter
-    // buys.
-    {
-        let mut cluster = Cluster::builder(ProtocolKind::RaftStar)
-            .clients_per_region(10)
-            .workload(w.clone())
-            .seed(42)
-            .net(net.clone())
-            .batch_max(64)
-            .pipeline_config(PipelineConfig::depth(8).without_nic_aware_cutting())
-            .build();
-        cluster.elect_leader();
-        let r = cluster.run_measurement(
-            SimDuration::from_secs(2),
-            SimDuration::from_secs(5),
-            SimDuration::from_secs(1),
-        );
-        let name = "payload_4kb_depth8_nicoff_ops_per_sec".to_string();
-        println!("{name:<55} {:>10.1} ops/s (virtual)", r.throughput_ops);
-        rep.rows.push((name, r.throughput_ops));
-    }
+    let mut cluster = Cluster::builder(ProtocolKind::RaftStar)
+        .clients_per_region(10)
+        .workload(w)
+        .seed(42)
+        .net(net)
+        .batch_max(64)
+        .build();
+    cluster.elect_leader();
+    let r = cluster.run_measurement(
+        SimDuration::from_secs(2),
+        SimDuration::from_secs(5),
+        SimDuration::from_secs(1),
+    );
+    let name = "payload_4kb_depth8_batchmax64_ops_per_sec".to_string();
+    println!("{name:<55} {:>10.1} ops/s (virtual)", r.throughput_ops);
+    rep.rows.push((name, r.throughput_ops));
 }
 
 /// Live-rebalancing sweep (the PR 5 demonstration): fixed-seed

@@ -1,7 +1,6 @@
 //! Replica configuration shared by every protocol.
 
 use crate::costs::CostModel;
-use crate::engine::PipelineConfig;
 use crate::shard::ShardMembership;
 use crate::snapshot::SnapshotConfig;
 use crate::types::NodeId;
@@ -177,8 +176,9 @@ pub struct ReplicaConfig {
     pub mencius: MenciusConfig,
     /// Snapshot / log-compaction parameters (disabled by default).
     pub snapshot: SnapshotConfig,
-    /// Replication pipelining / adaptive-batching parameters.
-    pub pipeline: PipelineConfig,
+    /// Maximum in-flight (unacknowledged) replication rounds per peer
+    /// (see [`crate::engine::Progress`]); must be positive.
+    pub pipeline_depth: usize,
     /// Shard membership when this replica serves one group of a
     /// multi-group cluster (`None` = unsharded, the default). Carries
     /// the partition map so misrouted commands get a
@@ -211,7 +211,7 @@ impl ReplicaConfig {
             lease: LeaseConfig::default(),
             mencius: MenciusConfig::default(),
             snapshot: SnapshotConfig::default(),
-            pipeline: PipelineConfig::default(),
+            pipeline_depth: 8,
             shard: None,
             durability: DurabilityConfig::default(),
         }
@@ -313,6 +313,9 @@ impl ReplicaConfig {
         if self.batch_max == 0 {
             return Err("batch_max must be positive".into());
         }
+        if self.pipeline_depth == 0 {
+            return Err("pipeline_depth must be positive".into());
+        }
         if self.snapshot.enabled() && self.snapshot.chunk_bytes == 0 {
             return Err("snapshot chunk_bytes must be positive".into());
         }
@@ -355,6 +358,15 @@ mod tests {
         let mut c = cfg();
         c.peers.pop();
         assert!(c.validate().is_err());
+    }
+
+    #[test]
+    fn validate_rejects_zero_pipeline_depth() {
+        let mut c = cfg();
+        c.pipeline_depth = 0;
+        assert!(c.validate().is_err());
+        c.pipeline_depth = 1;
+        assert_eq!(c.validate(), Ok(()));
     }
 
     #[test]

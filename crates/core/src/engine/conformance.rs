@@ -14,7 +14,7 @@ use paxraft_sim::sim::{Actor, ActorId, Simulation};
 use paxraft_sim::time::{SimDuration, SimTime};
 
 use crate::config::{DurabilityConfig, ReplicaConfig};
-use crate::engine::{PipelineConfig, ProtocolRules, ReplicaEngine};
+use crate::engine::{ProtocolRules, ReplicaEngine};
 use crate::harness::{Cluster, ProtocolKind};
 use crate::mencius::MenciusReplica;
 use crate::msg::{ClientMsg, EngineMsg, Msg};
@@ -154,6 +154,19 @@ fn every_protocol_heals_a_partitioned_replica_via_snapshot() {
             lagger.applied_index(),
             survivor_applied
         );
+        // Nothing stays counted in flight: not toward the healed peer,
+        // and not at a deposed leader whose rounds can no longer be
+        // acknowledged to it (the `pipeline_occupancy` gauge reads this).
+        for &r in &replicas {
+            assert_eq!(
+                sim.actor::<ReplicaEngine<P>>(r)
+                    .core
+                    .progress
+                    .total_in_flight(),
+                0,
+                "{name}: replica {r:?} holds no in-flight rounds after the heal"
+            );
+        }
     }
     for_all_protocols!(scenario);
 }
@@ -232,12 +245,14 @@ fn every_protocol_dedups_duplicate_requests() {
 
 #[test]
 fn burst_of_requests_arms_one_batch_timer_and_one_flush() {
-    // Pins the legacy (pipeline-disabled) batching discipline: with no
-    // eager cutting, a burst under `batch_max` arms exactly one timer
-    // and produces exactly one flush.
+    // Pins the batch-timer discipline on a saturated window: at depth 1
+    // with the followers cut off, one unacknowledged round fills the
+    // leader's window, so the cutter cannot flush eagerly and a burst
+    // under `batch_max` must arm exactly one timer and produce exactly
+    // one flush.
     fn scenario<P: ProtocolRules>(name: &str, make: fn(ReplicaConfig) -> ReplicaEngine<P>) {
         let (mut sim, replicas, _client) = conformance_cluster(3, None, move |mut cfg| {
-            cfg.pipeline = PipelineConfig::disabled();
+            cfg.pipeline_depth = 1;
             make(cfg)
         });
         // Let the cluster elect and go quiet.
@@ -248,20 +263,32 @@ fn burst_of_requests_arms_one_batch_timer_and_one_flush() {
             "{name}: replica 0 leads"
         );
         sim.run_for(SimDuration::from_secs(1));
-        let (armed0, flushed0) = sim.actor::<ReplicaEngine<P>>(replicas[0]).batching_stats();
+        // Cut the followers off (the client stays with the leader), then
+        // let one command fill the window with a round nobody acks.
+        sim.partition_at(vec![0, 1, 1, 0], sim.now() + SimDuration::from_millis(1));
+        sim.run_for(SimDuration::from_millis(2));
+        let put = |seq: u64| {
+            let cmd = crate::kv::Command::put(crate::kv::CmdId { client: 0, seq }, seq, vec![0; 8]);
+            Msg::Client(ClientMsg::Request { cmd })
+        };
+        sim.send_external(replicas[0], put(1), SimDuration::ZERO);
+        sim.run_for(SimDuration::from_millis(50));
+        let rep = sim.actor::<ReplicaEngine<P>>(replicas[0]);
+        let (armed0, flushed0) = rep.batching_stats();
+        let deferred0 = rep.pipeline_stats().window_deferrals;
         // A burst of N requests lands within one batch window (N well
         // under batch_max, so only the timer can flush it).
         let n_burst = 8u64;
-        for seq in 1..=n_burst {
-            let cmd = crate::kv::Command::put(crate::kv::CmdId { client: 0, seq }, seq, vec![0; 8]);
-            sim.send_external(
-                replicas[0],
-                Msg::Client(ClientMsg::Request { cmd }),
-                SimDuration::ZERO,
-            );
+        for seq in 2..=n_burst + 1 {
+            sim.send_external(replicas[0], put(seq), SimDuration::ZERO);
         }
         sim.run_for(SimDuration::from_secs(1));
-        let (armed1, flushed1) = sim.actor::<ReplicaEngine<P>>(replicas[0]).batching_stats();
+        let rep = sim.actor::<ReplicaEngine<P>>(replicas[0]);
+        assert!(
+            rep.pipeline_stats().window_deferrals > deferred0,
+            "{name}: the saturated window deferred the burst"
+        );
+        let (armed1, flushed1) = rep.batching_stats();
         assert_eq!(
             armed1 - armed0,
             1,
@@ -481,7 +508,7 @@ fn pipelined_burst_overlaps_rounds_within_the_depth_bound() {
     ) {
         let depth = 4usize;
         let (mut sim, replicas, _client) = conformance_cluster(3, None, move |mut cfg| {
-            cfg.pipeline = PipelineConfig::depth(depth);
+            cfg.pipeline_depth = depth;
             make(cfg)
         });
         assert!(
@@ -536,9 +563,11 @@ fn pipelined_burst_overlaps_rounds_within_the_depth_bound() {
 }
 
 /// Pipelined replication under message loss: rounds are dropped and
-/// acknowledged out of order, retransmission regresses the window, and
-/// every protocol still commits every command exactly once — with the
-/// same final replicated state across all four protocols.
+/// acknowledged out of order, and every protocol still commits every
+/// command exactly once — with the same final replicated state across
+/// all four protocols. At this fixed seed Raft, Raft* and MultiPaxos
+/// record `rounds_regressed == 0`, so retransmit-on-regress is not
+/// exercised here; the partition-heal test above exercises it.
 #[test]
 fn every_protocol_converges_under_loss_with_pipelining() {
     fn scenario<P: ProtocolRules>(
@@ -546,7 +575,7 @@ fn every_protocol_converges_under_loss_with_pipelining() {
         make: fn(ReplicaConfig) -> ReplicaEngine<P>,
     ) -> Vec<(u64, Option<u64>)> {
         let (mut sim, replicas, client) = conformance_cluster(3, None, move |mut cfg| {
-            cfg.pipeline = PipelineConfig::depth(4);
+            cfg.pipeline_depth = 4;
             make(cfg)
         });
         sim.set_drop_rate_at(0.10, SimTime::from_millis(1));
@@ -613,7 +642,7 @@ fn every_protocol_converges_under_loss_with_pipelining() {
 fn every_protocol_survives_leader_crash_mid_pipeline() {
     fn scenario<P: ProtocolRules>(name: &str, make: fn(ReplicaConfig) -> ReplicaEngine<P>) {
         let (mut sim, replicas, client) = conformance_cluster(3, None, move |mut cfg| {
-            cfg.pipeline = PipelineConfig::depth(4);
+            cfg.pipeline_depth = 4;
             make(cfg)
         });
         sim.actor_mut::<TestClient>(client).enqueue_put(1);
@@ -741,19 +770,13 @@ fn full_forwarded_batch_is_flushed_immediately_regardless_of_leadership() {
     scenario("Mencius", true, MenciusReplica::new);
 }
 
-/// Follower-side adaptive forwarding: with `follower_hints` on, a
-/// command arriving at a follower while the leader's piggybacked
-/// occupancy hint shows window room is forwarded immediately — it never
-/// waits for the batch timer. (With hints off, the non-full-batch
-/// follower path always waits; `burst_of_requests_arms_one_batch_timer`
-/// pins that discipline.)
+/// Follower-side adaptive forwarding: a command arriving at a follower
+/// while the leader's piggybacked occupancy hint shows window room is
+/// forwarded immediately — it never waits for the batch timer.
 #[test]
-fn follower_hints_cut_forward_batches_before_the_timer() {
+fn window_hints_cut_forward_batches_before_the_timer() {
     fn scenario<P: ProtocolRules>(name: &str, make: fn(ReplicaConfig) -> ReplicaEngine<P>) {
-        let (mut sim, replicas, _client) = conformance_cluster(3, None, move |mut cfg| {
-            cfg.pipeline = PipelineConfig::default().with_follower_hints();
-            make(cfg)
-        });
+        let (mut sim, replicas, _client) = conformance_cluster(3, None, make);
         assert!(
             drive_until(&mut sim, SimTime::from_secs(5), |sim| {
                 sim.actor::<ReplicaEngine<P>>(replicas[0]).is_leader()

@@ -21,13 +21,13 @@
 //! An optimization added to the engine (a smarter batcher, snapshot
 //! pacing, a new transfer encoding) lands in all four protocols at once:
 //! the paper's "port the optimization" becomes "the engine already has
-//! it". The worked example is [`pipeline`]: one per-peer replication
-//! window plus an adaptive batch cutter (`cut_batch`) that flushes
-//! eagerly while a quorum has window room and accumulates once
-//! saturated — inherited by every rules impl.
+//! it". The worked example is [`progress`]: one per-peer replication
+//! tracker whose in-flight window feeds an adaptive batch cutter
+//! (`cut_batch`) that flushes eagerly while a quorum has window room and
+//! accumulates once saturated — inherited by every rules impl.
 
 pub mod durability;
-pub mod pipeline;
+pub mod progress;
 pub mod raft_family;
 mod transfer;
 
@@ -35,7 +35,7 @@ mod transfer;
 mod conformance;
 
 pub use durability::{DurabilityState, DurabilityStats};
-pub use pipeline::{PipelineConfig, PipelineStats, PipelineWindow};
+pub use progress::{PipelineStats, Progress};
 pub use transfer::{compact_applied_prefix, install_into_raft_state, ship_snapshot};
 
 use std::collections::{BTreeSet, HashMap};
@@ -114,9 +114,10 @@ pub struct EngineCore {
     /// no-leader retry regression asserts buffered commands are neither
     /// dropped nor duplicated across a leader transition).
     pub forwarded_cmds: u64,
-    /// Per-peer in-flight replication round tracking; drives the
-    /// adaptive batch cutter and the per-peer send gate.
-    pub pipe: PipelineWindow,
+    /// Per-peer replication progress (match, send cursor, in-flight
+    /// rounds, executed-prefix reports); its window drives the adaptive
+    /// batch cutter and the per-peer send gate.
+    pub progress: Progress,
     /// `(chunk, ack)` wire-header bytes of this protocol's snapshot
     /// spelling, resolved once from
     /// [`ProtocolRules::snapshot_wire_overhead`] (plus the group header
@@ -124,7 +125,7 @@ pub struct EngineCore {
     pub snap_wire: (usize, usize),
     /// Last leader window-occupancy hint piggybacked on replication
     /// traffic, and when it arrived. Drives follower-side adaptive
-    /// forwarding when [`PipelineConfig::follower_hints`] is on.
+    /// forwarding.
     pub window_hint: Option<(bool, SimTime)>,
     /// Engine-level messages dropped because they carried another
     /// group's id (sharded clusters; stats/assertions).
@@ -168,7 +169,7 @@ impl EngineCore {
     /// Engine state for a validated configuration.
     pub fn new(cfg: ReplicaConfig) -> Self {
         let n = cfg.n;
-        let pipe = PipelineWindow::new(n, &cfg.pipeline);
+        let progress = Progress::new(n, cfg.pipeline_depth);
         // Placeholder spelling only: [`ReplicaEngine::from_parts`]
         // re-derives `snap_wire` from the rules' actual snapshot
         // spelling; a bare `EngineCore` never ships snapshots itself.
@@ -194,7 +195,7 @@ impl EngineCore {
             batch_timers_armed: 0,
             batch_flushes: 0,
             forwarded_cmds: 0,
-            pipe,
+            progress,
             snap_wire,
             window_hint: None,
             cross_group_dropped: 0,
@@ -289,10 +290,8 @@ impl EngineCore {
     /// periods is stale: the leader's occupancy has had time to change
     /// and two missed refreshes suggest the leader itself may be gone.
     pub fn hint_allows_forward(&self, now: SimTime) -> bool {
-        self.cfg.pipeline.follower_hints
-            && self
-                .window_hint
-                .is_some_and(|(room, at)| room && now.since(at.min(now)) <= self.cfg.heartbeat * 2)
+        self.window_hint
+            .is_some_and(|(room, at)| room && now.since(at.min(now)) <= self.cfg.heartbeat * 2)
     }
 
     /// This replica's bit in quorum bitmaps.
@@ -575,7 +574,7 @@ impl<P: ProtocolRules> ReplicaEngine<P> {
 
     /// Pipeline occupancy and adaptive-batching counters.
     pub fn pipeline_stats(&self) -> PipelineStats {
-        self.core.pipe.stats
+        self.core.progress.stats
     }
 
     /// Commands forwarded toward the believed leader (stats).
@@ -620,7 +619,7 @@ impl<P: ProtocolRules> ReplicaEngine<P> {
         s.record("pending_depth", self.core.pending.len() as f64);
         s.record(
             "pipeline_occupancy",
-            self.core.pipe.total_in_flight() as f64,
+            self.core.progress.total_in_flight() as f64,
         );
         // Apply-path load sketch (sharded clusters only): cumulative
         // per-bucket counts the auto-rebalancing policy differences
@@ -752,25 +751,22 @@ fn cut_batch<P: ProtocolRules>(rules: &mut P, core: &mut EngineCore, ctx: &mut C
     // latency while its per-round overhead costs throughput (the
     // Figure-10b regime). Accumulate under the timer instead and let
     // batching amortize.
-    let nic_saturated = core.cfg.pipeline.nic_aware && ctx.nic_backlog() * 4 > core.cfg.batch_delay;
-    if rules.can_propose(core) && core.pipe.enabled() {
-        if core.pipe.quorum_has_room(core.cfg.id, core.cfg.n) {
+    let nic_saturated = ctx.nic_backlog() * 4 > core.cfg.batch_delay;
+    if rules.can_propose(core) {
+        if core.progress.quorum_has_room(core.cfg.id) {
             if nic_saturated {
-                core.pipe.stats.nic_deferrals += 1;
+                core.progress.stats.nic_deferrals += 1;
                 span_defer(core, ctx);
             } else {
-                core.pipe.stats.eager_flushes += 1;
+                core.progress.stats.eager_flushes += 1;
                 flush_pending(rules, core, ctx);
                 return;
             }
         } else {
-            core.pipe.stats.window_deferrals += 1;
+            core.progress.stats.window_deferrals += 1;
             span_defer(core, ctx);
         }
-    } else if !rules.can_propose(core)
-        && core.leader_hint.is_some()
-        && core.hint_allows_forward(ctx.now())
-    {
+    } else if core.leader_hint.is_some() && core.hint_allows_forward(ctx.now()) {
         // Follower-side adaptive forwarding: the leader's piggybacked
         // occupancy hint says its window can absorb a fresh round, so
         // paying the batch delay before forwarding would only add
@@ -779,10 +775,10 @@ fn cut_batch<P: ProtocolRules>(rules: &mut P, core: &mut EngineCore, ctx: &mut C
         // of the leader's window or of our own NIC — falls through to
         // the accumulate-under-timer regime.
         if nic_saturated {
-            core.pipe.stats.nic_deferrals += 1;
+            core.progress.stats.nic_deferrals += 1;
             span_defer(core, ctx);
         } else {
-            core.pipe.stats.hint_flushes += 1;
+            core.progress.stats.hint_flushes += 1;
             flush_pending(rules, core, ctx);
             if core.pending.is_empty() {
                 return;
@@ -1105,7 +1101,7 @@ impl<P: ProtocolRules> Actor<Msg> for ReplicaEngine<P> {
                 // Acknowledgements may have freed pipeline window room:
                 // ship a batch that accumulated while saturated without
                 // waiting for its timer.
-                if self.core.pipe.enabled() && !self.core.pending.is_empty() {
+                if !self.core.pending.is_empty() {
                     cut_batch(&mut self.rules, &mut self.core, ctx);
                 }
             }
@@ -1164,7 +1160,7 @@ impl<P: ProtocolRules> Actor<Msg> for ReplicaEngine<P> {
 
     fn on_crash(&mut self) {
         // Shared volatile state: the pending batch, the batch timer, any
-        // in-flight transfer bookkeeping, the pipeline window and the
+        // in-flight transfer bookkeeping, the per-peer progress and the
         // leader hint die with the process. Durable state (and what of
         // it each protocol restores) is the rules' concern.
         self.core.pending.clear();
@@ -1180,7 +1176,7 @@ impl<P: ProtocolRules> Actor<Msg> for ReplicaEngine<P> {
         self.core.window_hint = None;
         self.core.snap_asm.clear();
         self.core.snap_send.reset();
-        self.core.pipe.reset();
+        self.core.progress.clear();
         // In-flight migration transfer state is volatile; the frozen /
         // absorbed bookkeeping itself is state-machine state and comes
         // back with the log / snapshot, re-arming the export pump.

@@ -1,8 +1,8 @@
 //! The Raft-family base: replication state and plumbing shared verbatim
 //! by Raft and Raft*.
 //!
-//! Both protocols drive the same contiguous [`Log`] with the same
-//! leader-side [`Replicator`], the same election/heartbeat shape, and
+//! Both protocols drive the same contiguous [`Log`] with the engine's
+//! per-peer [`super::Progress`], the same election/heartbeat shape, and
 //! the same snapshot install/ack handling; they differ only in the
 //! append acceptance rule (truncate vs no-shrink + ballot rewrite), the
 //! vote rule (plain up-to-date check vs extras), and the commit rule
@@ -18,7 +18,6 @@ use paxraft_sim::trace::SpanKind;
 use crate::kv::KvStore;
 use crate::log::Log;
 use crate::msg::{EngineMsg, Msg, RaftMsg};
-use crate::replicate::Replicator;
 use crate::snapshot::{Snapshot, SnapshotStats};
 use crate::types::{NodeId, Slot, Term};
 
@@ -50,8 +49,6 @@ pub struct RaftBase {
     pub last_applied: Slot,
     /// Vote bitmap for the current candidacy.
     pub votes: u64,
-    /// Leader-side per-follower progress.
-    pub repl: Replicator,
     /// Highest log index covered by a *completed* fsync. Only this
     /// prefix survives a crash when durability is enabled; it also
     /// bounds how far this replica's own copy counts toward commitment
@@ -66,9 +63,9 @@ pub struct RaftBase {
     pub quorum_mark: Slot,
 }
 
-impl RaftBase {
-    /// Fresh follower state for an `n`-replica cluster.
-    pub fn new(n: usize) -> Self {
+impl Default for RaftBase {
+    /// Fresh follower state.
+    fn default() -> Self {
         RaftBase {
             current_term: Term::ZERO,
             role: Role::Follower,
@@ -76,13 +73,14 @@ impl RaftBase {
             commit_index: Slot::NONE,
             last_applied: Slot::NONE,
             votes: 0,
-            repl: Replicator::new(n),
             synced_idx: Slot::NONE,
             pending_sync: VecDeque::new(),
             quorum_mark: Slot::NONE,
         }
     }
+}
 
+impl RaftBase {
     /// Emits `Quorum` spans for slots newly covered by the **unclamped**
     /// replication tally (`upto` = the f-th largest match, before the
     /// durability clamp, after any protocol-specific term/holder check).
@@ -182,10 +180,19 @@ impl RaftBase {
         core.arm_election(ctx, self.current_term == Term::ZERO);
     }
 
-    /// Adopts a higher term and falls back to follower.
-    pub fn step_down(&mut self, core: &mut EngineCore, term: Term, ctx: &mut Ctx<Msg>) {
+    /// Adopts `term` as a follower. A deposed leader's in-flight rounds
+    /// will never be acknowledged to it as leader, so it forgets them.
+    pub fn become_follower(&mut self, core: &mut EngineCore, term: Term) {
+        if self.role == Role::Leader {
+            core.progress.reset();
+        }
         self.current_term = term;
         self.role = Role::Follower;
+    }
+
+    /// Adopts a higher term and falls back to follower.
+    pub fn step_down(&mut self, core: &mut EngineCore, term: Term, ctx: &mut Ctx<Msg>) {
+        self.become_follower(core, term);
         self.arm_election(core, ctx);
     }
 
@@ -227,9 +234,9 @@ impl RaftBase {
     /// the retained suffix behind it — FIFO links deliver the chunks
     /// first, so the Append matches once the snapshot installs.
     pub fn send_append_to(&mut self, core: &mut EngineCore, ctx: &mut Ctx<Msg>, peer: NodeId) {
-        let mut prev = self.repl.next_prev(peer);
+        let mut prev = core.progress.next_prev(peer);
         let has_entries = self.log.last_index() > prev;
-        if has_entries && !core.pipe.has_room(peer) {
+        if has_entries && !core.progress.has_room(peer) {
             return; // window full: new rounds wait for acks
         }
         if prev < self.log.last_included().0 {
@@ -244,14 +251,11 @@ impl RaftBase {
         let prev_term = self.log.term_at(prev).unwrap_or(Term::ZERO);
         let entries = self.log.suffix_from(prev);
         let tail = self.log.last_index();
-        self.repl.mark_sent(peer, prev, tail, ctx.now());
-        if !entries.is_empty() {
-            core.pipe.on_sent(peer, tail, ctx.now());
-        }
+        core.progress.on_sent(peer, prev, tail, ctx.now());
         // Piggyback our window occupancy so followers can cut forward
         // batches adaptively (empty heartbeat appends refresh the hint
         // even on an idle cluster).
-        let window_room = core.pipe.quorum_has_room(core.cfg.id, core.cfg.n);
+        let window_room = core.progress.quorum_has_room(core.cfg.id);
         ctx.send(
             core.cfg.peer(peer),
             Msg::Raft(RaftMsg::Append {
@@ -268,27 +272,23 @@ impl RaftBase {
     /// Ships `peer` any entries that accumulated while its pipeline
     /// window was full. Called after an acknowledgement frees a slot.
     pub fn pump(&mut self, core: &mut EngineCore, ctx: &mut Ctx<Msg>, peer: NodeId) {
-        if self.role == Role::Leader && self.log.last_index() > self.repl.next_prev(peer) {
+        if self.role == Role::Leader && self.log.last_index() > core.progress.next_prev(peer) {
             self.send_append_to(core, ctx, peer);
         }
     }
 
     /// Leader heartbeat: timed retransmission of unacknowledged
     /// suffixes to every follower, then re-arm. A rewound peer's
-    /// in-flight rounds are presumed lost, so its pipeline window is
-    /// regressed and the retransmission starts a fresh round.
+    /// in-flight rounds are presumed lost, so the retransmission starts
+    /// a fresh round.
     pub fn heartbeat(&mut self, core: &mut EngineCore, ctx: &mut Ctx<Msg>) {
         if self.role != Role::Leader {
             return;
         }
         let peers: Vec<NodeId> = core.cfg.others().collect();
         for peer in peers {
-            if self
-                .repl
-                .maybe_rewind(peer, ctx.now(), core.cfg.retry_interval)
-            {
-                core.pipe.on_regress(peer);
-            }
+            core.progress
+                .rewind_if_stale(peer, ctx.now(), core.cfg.retry_interval);
             self.send_append_to(core, ctx, peer);
         }
         core.arm_heartbeat(ctx);
@@ -362,8 +362,7 @@ impl RaftBase {
             );
             return false;
         }
-        self.current_term = seal;
-        self.role = Role::Follower;
+        self.become_follower(core, seal);
         core.leader_hint = Some(seal.owner(core.cfg.n));
         self.arm_election(core, ctx);
         true
@@ -435,8 +434,7 @@ impl RaftBase {
         } else if seal == self.current_term && self.role == Role::Leader {
             let peer = core.cfg.node_of(from);
             core.snap_send.finish(peer.0 as usize);
-            core.pipe.on_ack(peer, upto);
-            let advanced = self.repl.on_ack(peer, upto);
+            let advanced = core.progress.on_ack(peer, upto);
             self.pump(core, ctx, peer);
             return advanced;
         }

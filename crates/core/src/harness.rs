@@ -14,7 +14,7 @@ use paxraft_workload::metrics::{LatencyRecorder, LatencyTriple};
 use crate::client::{ClientRouting, WorkloadClient};
 use crate::config::{DurabilityConfig, LeaseConfig, ReadMode, ReplicaConfig};
 use crate::costs::CostModel;
-use crate::engine::{DurabilityStats, PipelineConfig, PipelineStats, ProtocolRules, ReplicaEngine};
+use crate::engine::{DurabilityStats, PipelineStats, ProtocolRules, ReplicaEngine};
 use crate::kv::{CmdId, Command, Key, KvStore, Op, Reply};
 use crate::mencius::{MenciusReplica, MenciusRules};
 use crate::msg::{ClientMsg, Msg};
@@ -80,7 +80,7 @@ pub struct ClusterBuilder {
     pub(crate) batch_max: usize,
     pub(crate) lease: LeaseConfig,
     pub(crate) snapshot: SnapshotConfig,
-    pub(crate) pipeline: PipelineConfig,
+    pub(crate) pipeline_depth: usize,
     pub(crate) shard: ShardConfig,
     pub(crate) rebalance: RebalanceConfig,
     pub(crate) autobalance: AutoBalanceConfig,
@@ -199,11 +199,10 @@ impl ClusterBuilder {
         self
     }
 
-    /// Replication pipelining / adaptive-batching parameters for every
-    /// replica (default: enabled, depth 8; `PipelineConfig::disabled()`
-    /// restores the one-round-per-timer legacy batching).
-    pub fn pipeline_config(mut self, pipeline: PipelineConfig) -> Self {
-        self.pipeline = pipeline;
+    /// Maximum in-flight replication rounds per peer for every replica
+    /// (default 8; must be positive).
+    pub fn pipeline_depth(mut self, depth: usize) -> Self {
+        self.pipeline_depth = depth;
         self
     }
 
@@ -379,7 +378,7 @@ impl ClusterBuilder {
         cfg.batch_max = self.batch_max;
         cfg.lease = self.lease.clone();
         cfg.snapshot = self.snapshot.clone();
-        cfg.pipeline = self.pipeline.clone();
+        cfg.pipeline_depth = self.pipeline_depth;
         cfg.durability = self.durability.clone();
         cfg.shard = shard;
         cfg.read_mode = match self.protocol {
@@ -644,7 +643,7 @@ impl Cluster {
             batch_max: 64,
             lease: LeaseConfig::default(),
             snapshot: SnapshotConfig::default(),
-            pipeline: PipelineConfig::default(),
+            pipeline_depth: 8,
             shard: ShardConfig::default(),
             rebalance: RebalanceConfig::default(),
             autobalance: AutoBalanceConfig::default(),

@@ -40,7 +40,6 @@ pub mod pql;
 pub mod probe;
 pub mod raft;
 pub mod raftstar;
-pub mod replicate;
 pub mod shard;
 pub mod snapshot;
 pub mod telemetry;

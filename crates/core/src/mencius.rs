@@ -138,14 +138,6 @@ pub struct MenciusRules {
     await_respond: Vec<Slot>,
     commit_buf: Vec<Slot>,
     last_heard: Vec<SimTime>,
-    /// Executed prefix each peer last reported via `SkipNotice` — the
-    /// Mencius spelling of MultiPaxos's piggybacked `exec` report.
-    peer_exec: Vec<Slot>,
-    /// `peer_exec` as of the previous coordination tick: a report that
-    /// did not move between ticks marks a *stalled* peer (a lost
-    /// suggestion left it a committed-without-value gap), as opposed to
-    /// one merely trailing by a WAN round-trip.
-    peer_exec_prev: Vec<Slot>,
     revoke: Option<RevokeOp>,
     last_revoke_attempt: SimTime,
     /// Checkpoint floor: slots at or below it were discarded after
@@ -191,8 +183,6 @@ impl MenciusReplica {
                 await_respond: Vec::new(),
                 commit_buf: Vec::new(),
                 last_heard: vec![SimTime::ZERO; n],
-                peer_exec: vec![Slot::NONE; n],
-                peer_exec_prev: vec![Slot::NONE; n],
                 revoke: None,
                 last_revoke_attempt: SimTime::ZERO,
                 compacted_through: Slot::NONE,
@@ -630,11 +620,10 @@ impl MenciusRules {
     fn replay_to_stalled_peers(&mut self, core: &mut EngineCore, ctx: &mut Ctx<Msg>) {
         let peers: Vec<NodeId> = core.cfg.others().collect();
         for peer in peers {
-            let i = peer.0 as usize;
-            let fexec = self.peer_exec[i];
-            let stalled = fexec == self.peer_exec_prev[i];
-            self.peer_exec_prev[i] = fexec;
-            if fexec >= self.exec_index || !stalled || fexec < self.compacted_through {
+            let Some(fexec) = core.progress.stalled_exec(peer) else {
+                continue;
+            };
+            if fexec >= self.exec_index || fexec < self.compacted_through {
                 continue;
             }
             // Replay each slot at the term it was accepted at (see
@@ -906,7 +895,7 @@ impl MenciusRules {
                 ctx.charge(core.cfg.costs.ack_process);
                 self.note_known(core, peer, watermark);
                 if let Some(&upto) = slots.iter().max() {
-                    core.pipe.on_ack(peer, upto);
+                    core.progress.on_ack(peer, upto);
                 }
                 let bit = 1u64 << peer.0;
                 self.tally_own(core, &slots, term, bit);
@@ -917,7 +906,7 @@ impl MenciusRules {
                 // Our slots were revoked: re-propose the commands in
                 // fresh slots above the revoked range. In-flight rounds
                 // toward the rejecting peer are dead.
-                core.pipe.on_regress(peer);
+                core.progress.on_regress(peer);
                 if term > self.current_term {
                     self.current_term = self.current_term.next_for(core.cfg.id, core.cfg.n);
                     while self.current_term < term {
@@ -943,9 +932,9 @@ impl MenciusRules {
             MenciusMsg::SkipNotice { watermark, exec } => {
                 ctx.charge(core.cfg.costs.coord_msg);
                 self.note_known(core, peer, watermark);
-                if exec > self.peer_exec[peer.0 as usize] {
-                    self.peer_exec[peer.0 as usize] = exec;
-                }
+                // The Mencius spelling of MultiPaxos's piggybacked
+                // `exec` report, read by the stalled-peer replay.
+                core.progress.note_exec(peer, exec);
                 // A peer whose executed prefix fell below our checkpoint
                 // floor can never learn the dropped commit decisions
                 // from us: ship it the state instead.
@@ -1161,10 +1150,10 @@ impl ProtocolRules for MenciusRules {
             self.pending_self
                 .push((core.dur.write_seq(), self.current_term, slots));
         }
-        if let Some(upto) = items.iter().map(|(s, _)| *s).max() {
+        if let (Some(&(first, _)), Some(&(upto, _))) = (items.first(), items.last()) {
             let peers: Vec<NodeId> = core.cfg.others().collect();
             for peer in peers {
-                core.pipe.on_sent(peer, upto, ctx.now());
+                core.progress.on_sent(peer, first.prev(), upto, ctx.now());
             }
         }
         self.broadcast(
@@ -1200,7 +1189,8 @@ impl ProtocolRules for MenciusRules {
         // Rounds whose acks never came are presumed lost (the commit
         // broadcast and watermarks re-cover them); don't let them pin
         // the window shut.
-        core.pipe.expire_stale(ctx.now(), core.cfg.retry_interval);
+        core.progress
+            .expire_stale(ctx.now(), core.cfg.retry_interval);
         // Keepalive watermark, commit flush, revocation check.
         self.broadcast(
             core,
@@ -1387,12 +1377,6 @@ impl ProtocolRules for MenciusRules {
         self.await_respond.clear();
         self.commit_buf.clear();
         self.revoke = None;
-        for e in &mut self.peer_exec {
-            *e = Slot::NONE;
-        }
-        for e in &mut self.peer_exec_prev {
-            *e = Slot::NONE;
-        }
         core.kv = crate::kv::KvStore::new();
         self.exec_index = Slot::NONE;
         if let Some(snap) = &core.stable_snap {

@@ -99,17 +99,6 @@ pub struct PaxosRules {
     compacted_through: Slot,
     /// Retained instance payload bytes (compaction byte trigger).
     instance_bytes: usize,
-    /// Highest instance ever offered to each acceptor (send cursor):
-    /// instances above it were cut into rounds this acceptor's full
-    /// window made it skip, and are pumped to it as acks free slots.
-    accept_cursor: Vec<Slot>,
-    /// Executed prefix each acceptor reported on its last AcceptOk.
-    acceptor_exec: Vec<Slot>,
-    /// `acceptor_exec` as of the previous heartbeat: a report that did
-    /// not move between heartbeats marks a *stalled* acceptor (gap in
-    /// its instances), as opposed to one merely trailing by a WAN
-    /// round-trip.
-    acceptor_exec_prev: Vec<Slot>,
     /// Durability: proposals whose *own* acceptOK awaits the local
     /// fsync, as (write seq, ballot, slots). Drained by `on_durable`;
     /// empty when durability is disabled (the self-vote is immediate).
@@ -124,7 +113,6 @@ impl MultiPaxosReplica {
     /// Panics if the configuration is invalid.
     pub fn new(cfg: ReplicaConfig) -> Self {
         cfg.validate().expect("invalid replica config");
-        let n = cfg.n;
         ReplicaEngine::from_parts(
             EngineCore::new(cfg),
             PaxosRules {
@@ -137,9 +125,6 @@ impl MultiPaxosReplica {
                 exec_index: Slot::NONE,
                 compacted_through: Slot::NONE,
                 instance_bytes: 0,
-                accept_cursor: vec![Slot::NONE; n],
-                acceptor_exec: vec![Slot::NONE; n],
-                acceptor_exec_prev: vec![Slot::NONE; n],
                 pending_self: Vec::new(),
             },
         )
@@ -183,29 +168,31 @@ impl PaxosRules {
     }
 
     /// Ships one pipelined Accept round: every acceptor whose window has
-    /// room gets the batch now; a saturated acceptor is skipped and
-    /// receives the backlog from [`PaxosRules::pump_accepts`] as its
-    /// acks free slots (with the heartbeat retransmission as the
-    /// loss-recovery backstop). Commits only need a quorum, so a round
-    /// skipped by a minority of slow acceptors commits undelayed.
+    /// room gets the batch now (its send cursor moves past the batch); a
+    /// saturated acceptor is skipped and receives the backlog from
+    /// [`PaxosRules::pump_accepts`] as its acks free slots (with the
+    /// heartbeat retransmission as the loss-recovery backstop). Commits
+    /// only need a quorum, so a round skipped by a minority of slow
+    /// acceptors commits undelayed.
     fn send_accept_round(
         &mut self,
         core: &mut EngineCore,
         ctx: &mut Ctx<Msg>,
         items: &[(Slot, Command)],
     ) {
-        let Some(upto) = items.iter().map(|(s, _)| *s).max() else {
+        let (Some(first), Some(upto)) = (
+            items.iter().map(|(s, _)| *s).min(),
+            items.iter().map(|(s, _)| *s).max(),
+        ) else {
             return;
         };
         let peers: Vec<NodeId> = core.cfg.others().collect();
         for peer in peers {
-            if !core.pipe.has_room(peer) {
+            if !core.progress.has_room(peer) {
                 continue;
             }
-            core.pipe.on_sent(peer, upto, ctx.now());
-            let cur = &mut self.accept_cursor[peer.0 as usize];
-            *cur = (*cur).max(upto);
-            let window_room = core.pipe.quorum_has_room(core.cfg.id, core.cfg.n);
+            core.progress.on_sent(peer, first.prev(), upto, ctx.now());
+            let window_room = core.progress.quorum_has_room(core.cfg.id);
             ctx.send(
                 core.cfg.peer(peer),
                 Msg::Paxos(PaxosMsg::Accept {
@@ -223,26 +210,25 @@ impl PaxosRules {
     /// Raft family's backlog pump.
     fn pump_accepts(&mut self, core: &mut EngineCore, ctx: &mut Ctx<Msg>, peer: NodeId) {
         let highest = Slot(self.next_slot.0.saturating_sub(1));
-        let i = peer.0 as usize;
-        if self.accept_cursor[i] >= highest || !core.pipe.has_room(peer) {
+        let cursor = core.progress.sent_through(peer);
+        if cursor >= highest || !core.progress.has_room(peer) {
             return;
         }
         let items: Vec<(Slot, Command)> = self
             .instances
-            .range(self.accept_cursor[i].next().0..)
+            .range(cursor.next().0..)
             .filter(|(_, inst)| !inst.committed)
             .filter_map(|(&s, inst)| inst.cmd.clone().map(|c| (Slot(s), c)))
             .take(64)
             .collect();
-        match items.last() {
-            None => {
-                // Everything past the cursor is committed; Learn covers it.
-                self.accept_cursor[i] = highest;
-            }
-            Some(&(upto, _)) => {
-                self.accept_cursor[i] = if items.len() < 64 { highest } else { upto };
-                core.pipe.on_sent(peer, upto, ctx.now());
-                let window_room = core.pipe.quorum_has_room(core.cfg.id, core.cfg.n);
+        match (items.first(), items.last()) {
+            (Some(&(first, _)), Some(&(upto, _))) => {
+                core.progress.on_sent(peer, first.prev(), upto, ctx.now());
+                if items.len() < 64 {
+                    // Nothing uncommitted is left past this round.
+                    core.progress.advance_cursor(peer, highest);
+                }
+                let window_room = core.progress.quorum_has_room(core.cfg.id);
                 ctx.send(
                     core.cfg.peer(peer),
                     Msg::Paxos(PaxosMsg::Accept {
@@ -252,7 +238,19 @@ impl PaxosRules {
                     }),
                 );
             }
+            // Everything past the cursor is committed; Learn covers it.
+            _ => core.progress.advance_cursor(peer, highest),
         }
+    }
+
+    /// Adopts a higher ballot. A deposed proposer's in-flight rounds
+    /// will never be acknowledged to it as proposer, so it forgets them.
+    fn adopt_ballot(&mut self, core: &mut EngineCore, ballot: Term) {
+        if self.phase1_succeeded {
+            core.progress.reset();
+        }
+        self.ballot = ballot;
+        self.phase1_succeeded = false;
     }
 
     /// Figure 1 `Phase1a`: pick a fresh owned ballot and prepare.
@@ -423,10 +421,7 @@ impl PaxosRules {
             .note_log_size(self.instances.len(), self.instance_bytes);
         self.phase1_succeeded = true;
         core.leader_hint = Some(core.cfg.id);
-        core.pipe.reset();
-        for c in &mut self.accept_cursor {
-            *c = Slot::NONE;
-        }
+        core.progress.reset_for_leadership(Slot::NONE);
         self.next_slot = Slot(end.0.max(self.log_tail().0) + 1);
         self.send_accept_round(core, ctx, &items);
         core.arm_heartbeat(ctx);
@@ -504,8 +499,7 @@ impl PaxosRules {
             PaxosMsg::Prepare { ballot, from_slot } => {
                 // Figure 1 Phase1b.
                 if ballot > self.ballot {
-                    self.ballot = ballot;
-                    self.phase1_succeeded = false;
+                    self.adopt_ballot(core, ballot);
                     core.leader_hint = Some(ballot.owner(core.cfg.n));
                     self.arm_election(core, ctx);
                     // The promise itself is free always-durable metadata
@@ -554,8 +548,7 @@ impl PaxosRules {
                 // Figure 1 Phase2b.
                 if ballot >= self.ballot {
                     if ballot > self.ballot {
-                        self.ballot = ballot;
-                        self.phase1_succeeded = false;
+                        self.adopt_ballot(core, ballot);
                     }
                     core.leader_hint = Some(ballot.owner(core.cfg.n));
                     core.note_window_hint(window_room, ctx.now());
@@ -636,11 +629,9 @@ impl PaxosRules {
             } => {
                 // Figure 1 Learn.
                 let node = core.cfg.node_of(from);
-                if exec > self.acceptor_exec[node.0 as usize] {
-                    self.acceptor_exec[node.0 as usize] = exec;
-                }
+                core.progress.note_exec(node, exec);
                 if let Some(&upto) = slots.iter().max() {
-                    core.pipe.on_ack(node, upto);
+                    core.progress.on_ack(node, upto);
                 }
                 if ballot == self.ballot && self.phase1_succeeded {
                     ctx.charge(core.cfg.costs.ack_process);
@@ -705,7 +696,8 @@ impl PaxosRules {
         // Rounds whose acks never came are presumed lost; the heartbeat
         // retransmission below re-covers their instances, so the window
         // must not stay pinned by them.
-        core.pipe.expire_stale(ctx.now(), core.cfg.retry_interval);
+        core.progress
+            .expire_stale(ctx.now(), core.cfg.retry_interval);
         let retransmit: Vec<(Slot, Command)> = self
             .instances
             .range(self.exec_index.next().0..)
@@ -720,7 +712,7 @@ impl PaxosRules {
             .collect();
         // The heartbeat Accept doubles as the hint refresh: even an idle
         // cluster re-teaches acceptors the proposer's window occupancy.
-        let window_room = core.pipe.quorum_has_room(core.cfg.id, core.cfg.n);
+        let window_room = core.progress.quorum_has_room(core.cfg.id);
         self.broadcast(
             core,
             ctx,
@@ -741,11 +733,10 @@ impl PaxosRules {
         // advance between two consecutive heartbeats.
         let peers: Vec<NodeId> = core.cfg.others().collect();
         for peer in peers {
-            let i = peer.0 as usize;
-            let fexec = self.acceptor_exec[i];
-            let stalled = fexec == self.acceptor_exec_prev[i];
-            self.acceptor_exec_prev[i] = fexec;
-            if fexec >= self.exec_index || !stalled {
+            let Some(fexec) = core.progress.stalled_exec(peer) else {
+                continue;
+            };
+            if fexec >= self.exec_index {
                 continue;
             }
             if fexec < self.compacted_through {
@@ -904,9 +895,7 @@ impl ProtocolRules for PaxosRules {
     ) {
         let node = core.cfg.node_of(from);
         core.snap_send.finish(node.0 as usize);
-        if upto > self.acceptor_exec[node.0 as usize] {
-            self.acceptor_exec[node.0 as usize] = upto;
-        }
+        core.progress.note_exec(node, upto);
     }
 
     fn on_durable(&mut self, core: &mut EngineCore, ctx: &mut Ctx<Msg>) {
@@ -979,15 +968,6 @@ impl ProtocolRules for PaxosRules {
         }
         self.phase1_succeeded = false;
         self.prepare_acks.clear();
-        for c in &mut self.accept_cursor {
-            *c = Slot::NONE;
-        }
-        for e in &mut self.acceptor_exec {
-            *e = Slot::NONE;
-        }
-        for e in &mut self.acceptor_exec_prev {
-            *e = Slot::NONE;
-        }
     }
 }
 

@@ -76,11 +76,10 @@ impl RaftReplica {
     /// Panics if the configuration is invalid.
     pub fn new(cfg: ReplicaConfig) -> Self {
         cfg.validate().expect("invalid replica config");
-        let n = cfg.n;
         ReplicaEngine::from_parts(
             EngineCore::new(cfg),
             RaftRules {
-                base: RaftBase::new(n),
+                base: RaftBase::default(),
             },
         )
     }
@@ -119,10 +118,8 @@ impl RaftRules {
         // Optimistically assume followers hold our pre-existing log; the
         // no-op of the new term below lets the leader commit the tail of
         // its log under the Section-5.4.2 restriction.
-        self.base
-            .repl
+        core.progress
             .reset_for_leadership(self.base.log.last_index());
-        core.pipe.reset();
         let noop = Entry {
             term: self.base.current_term,
             bal: self.base.current_term,
@@ -151,7 +148,7 @@ impl RaftRules {
         // f durable followers plus the leader's volatile copy could
         // commit an entry that a leader crash erases from the one
         // replica a future election quorum might be counting on.
-        let tally = self.base.repl.kth_largest_match(f, core.cfg.id);
+        let tally = core.progress.kth_largest_match(f, core.cfg.id);
         let quorum_match = tally.min(self.base.durable_tail(core));
         // Span bookkeeping: the term-checked tally *before* the
         // durability clamp is the replication-quorum instant — from
@@ -222,8 +219,7 @@ impl RaftRules {
                     );
                     return;
                 }
-                self.base.current_term = term;
-                self.base.role = Role::Follower;
+                self.base.become_follower(core, term);
                 core.leader_hint = Some(term.owner(core.cfg.n));
                 core.note_window_hint(window_room, ctx.now());
                 self.base.arm_election(core, ctx);
@@ -324,8 +320,7 @@ impl RaftRules {
                 } else if term == self.base.current_term && self.base.role == Role::Leader {
                     ctx.charge(core.cfg.costs.ack_process);
                     let peer = core.cfg.node_of(from);
-                    core.pipe.on_ack(peer, last_idx);
-                    if self.base.repl.on_ack(peer, last_idx) {
+                    if core.progress.on_ack(peer, last_idx) {
                         self.advance_commit(core, ctx);
                     }
                     // The freed window slot may have a backlog waiting.
@@ -339,8 +334,7 @@ impl RaftRules {
                     // Back off toward the follower's tail and re-probe;
                     // in-flight rounds to that follower are dead.
                     let peer = core.cfg.node_of(from);
-                    self.base.repl.on_reject(peer, last_idx);
-                    core.pipe.on_regress(peer);
+                    core.progress.on_reject(peer, last_idx);
                     self.base.send_append_to(core, ctx, peer);
                 }
             }

@@ -108,7 +108,7 @@ impl RaftStarReplica {
         ReplicaEngine::from_parts(
             EngineCore::new(cfg),
             RaftStarRules {
-                base: RaftBase::new(n),
+                base: RaftBase::default(),
                 vote_extras: HashMap::new(),
                 reported_holders: vec![Vec::new(); n],
                 lease,
@@ -199,10 +199,8 @@ impl RaftStarRules {
         self.index_writes_from(my_last.next());
         self.base.role = Role::Leader;
         core.leader_hint = Some(core.cfg.id);
-        self.base
-            .repl
+        core.progress
             .reset_for_leadership(self.base.log.last_index());
-        core.pipe.reset();
         // A fresh no-op carries the term forward (progress, not safety:
         // Raft* needs no 5.4.2-style commit restriction).
         let noop = Entry {
@@ -258,7 +256,7 @@ impl RaftStarRules {
         // The leader's own copy counts toward the quorum only once
         // locally fsynced (no-op when durability is disabled); the
         // engine's `on_durable` hook re-runs this tally as syncs land.
-        let tally = self.base.repl.kth_largest_match(f, core.cfg.id);
+        let tally = core.progress.kth_largest_match(f, core.cfg.id);
         let mut target = tally.min(self.base.durable_tail(core));
         let lease_gated = self
             .lease
@@ -276,7 +274,7 @@ impl RaftStarRules {
                 while target > self.base.commit_index {
                     let mut holders: Vec<NodeId> = lease.current_holders(ctx.now());
                     for p in core.cfg.others() {
-                        if self.base.repl.match_index(p) >= target {
+                        if core.progress.match_index(p) >= target {
                             for h in &self.reported_holders[p.0 as usize] {
                                 if !holders.contains(h) {
                                     holders.push(*h);
@@ -287,7 +285,7 @@ impl RaftStarRules {
                     let mut limit = target;
                     for h in holders {
                         if h != core.cfg.id {
-                            limit = limit.min(self.base.repl.match_index(h));
+                            limit = limit.min(core.progress.match_index(h));
                         }
                     }
                     if limit >= target {
@@ -471,8 +469,7 @@ impl RaftStarRules {
                     );
                     return;
                 }
-                self.base.current_term = term;
-                self.base.role = Role::Follower;
+                self.base.become_follower(core, term);
                 core.leader_hint = Some(term.owner(core.cfg.n));
                 core.note_window_hint(window_room, ctx.now());
                 self.base.arm_election(core, ctx);
@@ -568,10 +565,9 @@ impl RaftStarRules {
                     ctx.charge(core.cfg.costs.ack_process);
                     let peer = core.cfg.node_of(from);
                     self.reported_holders[peer.0 as usize] = holders;
-                    core.pipe.on_ack(peer, last_idx);
                     // Advance on a match step — or on holder reports
                     // alone, which may still unblock the PQL gate.
-                    self.base.repl.on_ack(peer, last_idx);
+                    core.progress.on_ack(peer, last_idx);
                     self.advance_commit(core, ctx);
                     // The freed window slot may have a backlog waiting.
                     self.base.pump(core, ctx, peer);
@@ -582,9 +578,8 @@ impl RaftStarRules {
                     self.base.step_down(core, term, ctx);
                 } else if term == self.base.current_term && self.base.role == Role::Leader {
                     let peer = core.cfg.node_of(from);
-                    self.base.repl.on_reject(peer, last_idx);
                     // In-flight rounds to that follower are dead.
-                    core.pipe.on_regress(peer);
+                    core.progress.on_reject(peer, last_idx);
                     // Back off for a prev mismatch; when the follower's
                     // log is simply longer than ours (the Raft* "no
                     // shrink" rule), wait for new appends instead of

@@ -27,6 +27,7 @@
 //! accumulates once saturated — inherited by every rules impl.
 
 pub mod durability;
+mod instances;
 pub mod progress;
 pub mod raft_family;
 mod transfer;
@@ -35,6 +36,7 @@ mod transfer;
 mod conformance;
 
 pub use durability::{DurabilityState, DurabilityStats};
+pub(crate) use instances::{Accepted, Instance, Instances};
 pub use progress::{PipelineStats, Progress};
 pub use transfer::{compact_applied_prefix, install_into_raft_state, ship_snapshot};
 

@@ -39,7 +39,7 @@
 //! acceptor's promise that the accepted values survive a crash, so it
 //! is routed through [`EngineCore::ack_after_sync`]; the owner's *own*
 //! implicit ack is likewise gated on its local fsync (the engine's
-//! `on_durable` hook adds the bit, [`MenciusRules::pending_self`]).
+//! `on_durable` hook adds the bit, `Instances::take_synced_votes`).
 //! Crash-restart drops accepted values whose write never synced. A
 //! multi-leader wrinkle: peers cannot revoke a slot whose owner is
 //! alive, so an owner that loses its *own* unsynced suggestions would
@@ -71,35 +71,26 @@ use paxraft_sim::time::{SimDuration, SimTime};
 
 use crate::config::ReplicaConfig;
 use crate::costs::CostModel;
-use crate::engine::{self, EngineCore, ProtocolRules, ReplicaEngine, T_COORD};
+use crate::engine::{
+    self, Accepted, EngineCore, Instance, Instances, ProtocolRules, ReplicaEngine, T_COORD,
+};
 use crate::kv::{Command, Key, Op};
-use crate::msg::{EngineMsg, MenciusMsg, Msg};
+use crate::msg::{MenciusMsg, Msg};
 use crate::snapshot::Snapshot;
 use crate::types::{max_failures, NodeId, Slot, Term};
 
-/// Per-slot state.
-#[derive(Debug, Clone, Default)]
-struct MSlot {
-    /// Accepted value, if any.
-    cmd: Option<Command>,
-    /// Ballot of the accepted value / promised revocation ballot.
-    bal: Term,
-    /// Decided (majority-acked, or revocation-decided).
-    committed: bool,
+/// The owner-side part of a slot, carried in the shared instance
+/// record ([`Instance::ext`]).
+#[derive(Debug, Default)]
+struct OwnSlot {
     /// Skipped no-op (own slots only; remote skips derive from
     /// watermarks).
     skipped: bool,
-    /// Owner-side acknowledgement bitmap.
-    acks: u64,
     /// Whether the owner already answered the client.
     responded: bool,
     /// When the owner last (re)suggested this slot (own slots only;
     /// paces the uncommitted-suggestion retransmission).
     suggested_at: SimTime,
-    /// Durability: engine write sequence of the last value write (0
-    /// when durability is disabled). A crash drops values whose write
-    /// never fsynced.
-    wseq: u64,
 }
 
 /// An in-flight revocation of a crashed owner's slots.
@@ -121,17 +112,14 @@ pub type MenciusReplica = ReplicaEngine<MenciusRules>;
 /// skip watermarks, the two-regime respond rule, and revocation.
 pub struct MenciusRules {
     current_term: Term,
-    slots: BTreeMap<u64, MSlot>,
+    /// The per-slot instances (accepted values, ballots, decisions),
+    /// with the applied prefix and checkpoint floor.
+    inst: Instances<OwnSlot>,
     /// My next unused owned slot; doubles as my skip watermark.
     next_own: Slot,
     /// Exclusive bound of *known* slots per peer owner: every slot of
     /// theirs below this is suggested-or-skipped.
     known_upto: Vec<Slot>,
-    /// Applied prefix.
-    exec_index: Slot,
-    /// Slots (of any owner) decided but whose value never arrived
-    /// (reordered revocation); re-checked as values land.
-    committed_no_value: BTreeSet<u64>,
     /// Put slots per key, for the conflicting-response rule.
     key_slots: HashMap<Key, BTreeSet<u64>>,
     /// Own committed slots waiting for the respond condition.
@@ -140,17 +128,8 @@ pub struct MenciusRules {
     last_heard: Vec<SimTime>,
     revoke: Option<RevokeOp>,
     last_revoke_attempt: SimTime,
-    /// Checkpoint floor: slots at or below it were discarded after
-    /// execution (their effects live in the state machine and in
-    /// `stable_snap`).
-    compacted_through: Slot,
-    /// Retained slot payload bytes (compaction byte trigger).
-    slot_bytes: usize,
     /// Slots this replica skipped (stats).
     skips_issued: u64,
-    /// Durability: own suggestions whose implicit ack awaits the local
-    /// fsync, as (write seq, term, slots). Drained by `on_durable`.
-    pending_self: Vec<(u64, Term, Vec<Slot>)>,
     /// Durability: own slots whose unsynced value a crash dropped.
     /// Membership suppresses the skip inference in `decided_at` (the
     /// empty slot must not read as a decided no-op — a revocation
@@ -176,19 +155,14 @@ impl MenciusReplica {
                 current_term: Term::encode(1, me, n),
                 next_own: Slot(me.0 as u64 + 1),
                 known_upto: vec![Slot(1); n],
-                slots: BTreeMap::new(),
-                exec_index: Slot::NONE,
-                committed_no_value: BTreeSet::new(),
+                inst: Instances::default(),
                 key_slots: HashMap::new(),
                 await_respond: Vec::new(),
                 commit_buf: Vec::new(),
                 last_heard: vec![SimTime::ZERO; n],
                 revoke: None,
                 last_revoke_attempt: SimTime::ZERO,
-                compacted_through: Slot::NONE,
-                slot_bytes: 0,
                 skips_issued: 0,
-                pending_self: Vec::new(),
                 lost_own: BTreeSet::new(),
             },
         )
@@ -199,14 +173,23 @@ impl MenciusReplica {
         NodeId(((slot.0 - 1) % n as u64) as u32)
     }
 
+    /// The first slot of `owner` at or after `x`.
+    fn first_slot_of(owner: NodeId, x: Slot, n: usize) -> Slot {
+        let n = n as u64;
+        let x = x.0.max(1);
+        // Smallest s >= x with (s - 1) % n == owner.
+        let rem = (x - 1) % n;
+        Slot(x + (owner.0 as u64 + n - rem) % n)
+    }
+
     /// Applied prefix (tests).
     pub fn exec_index(&self) -> Slot {
-        self.rules.exec_index
+        self.rules.inst.exec
     }
 
     /// Retained (uncompacted) slots.
     pub fn retained_slots(&self) -> usize {
-        self.rules.slots.len()
+        self.rules.inst.map.len()
     }
 
     /// Slots this replica skipped (stats).
@@ -223,39 +206,26 @@ impl MenciusReplica {
 
 impl MenciusRules {
     fn decided_at(&self, core: &EngineCore, slot: Slot) -> Option<Command> {
-        let owner = MenciusReplica::owner_of(slot, core.cfg.n);
-        if let Some(s) = self.slots.get(&slot.0) {
+        let rec = self.inst.map.get(&slot.0);
+        if let Some(s) = rec {
             if s.committed {
                 return s.cmd.clone();
             }
-            if s.skipped {
+            if s.ext.skipped {
                 return Some(Command::noop());
             }
         }
-        if owner == core.cfg.id {
-            // The skip inference does not apply to crash-dropped own
-            // slots: empty there means "value lost", not "skipped", and
-            // peers may still decide the original value (module docs).
-            if slot < self.next_own
-                && !self.lost_own.contains(&slot.0)
-                && self
-                    .slots
-                    .get(&slot.0)
-                    .map(|s| s.cmd.is_none())
-                    .unwrap_or(true)
-            {
-                return Some(Command::noop());
-            }
-        } else if slot < self.known_upto[owner.0 as usize]
-            && self
-                .slots
-                .get(&slot.0)
-                .map(|s| s.cmd.is_none())
-                .unwrap_or(true)
-        {
-            return Some(Command::noop());
-        }
-        None
+        // An empty slot below its owner's watermark was skipped. The
+        // inference does not apply to crash-dropped own slots: empty
+        // there means "value lost", not "skipped", and peers may still
+        // decide the original value (module docs).
+        let owner = MenciusReplica::owner_of(slot, core.cfg.n);
+        let below_watermark = if owner == core.cfg.id {
+            slot < self.next_own && !self.lost_own.contains(&slot.0)
+        } else {
+            slot < self.known_upto[owner.0 as usize]
+        };
+        (below_watermark && rec.is_none_or(|s| s.cmd.is_none())).then(Command::noop)
     }
 
     fn broadcast(&self, core: &EngineCore, ctx: &mut Ctx<Msg>, msg: MenciusMsg) {
@@ -264,101 +234,62 @@ impl MenciusRules {
         }
     }
 
-    /// My next owned slot at or after `x`.
-    fn own_slot_at_or_after(&self, core: &EngineCore, x: Slot) -> Slot {
-        let n = core.cfg.n as u64;
-        let me = core.cfg.id.0 as u64;
-        let x = x.0.max(1);
-        // Smallest s >= x with (s - 1) % n == me.
-        let rem = (x - 1) % n;
-        let delta = (me + n - rem) % n;
-        Slot(x + delta)
-    }
-
-    /// Stores an accepted value and indexes its key. Returns `false`
-    /// (and stores nothing) for slots at or below the checkpoint floor
-    /// — they are decided and executed; re-creating them would corrupt
-    /// the compacted prefix. A slot already committed with a value keeps
-    /// it (agreement: the decided value is unique, so an arriving
-    /// suggestion for it is at worst a duplicate and must never rewrite
-    /// — e.g. a partitioned owner's stale retransmission racing a
-    /// revocation that already decided the slot as a no-op).
-    fn accept_value(&mut self, core: &mut EngineCore, s: Slot, term: Term, cmd: Command) -> bool {
-        if s <= self.compacted_through {
-            return false;
-        }
-        if self
-            .slots
-            .get(&s.0)
-            .is_some_and(|x| x.committed && x.cmd.is_some())
-        {
-            return true;
-        }
-        if let Op::Put { key, .. } = &cmd.op {
-            self.key_slots.entry(*key).or_default().insert(s.0);
-        }
-        let slot = self.slots.entry(s.0).or_default();
-        self.slot_bytes += cmd.size_bytes();
-        self.slot_bytes -= slot.cmd.replace(cmd).map_or(0, |c| c.size_bytes());
-        if term > slot.bal {
-            slot.bal = term;
-        }
-        if self.committed_no_value.remove(&s.0) {
-            slot.committed = true;
-        }
-        // A value landing in a crash-dropped own slot (our own recovery
-        // decision, or a revocation's) supersedes the loss marker.
-        self.lost_own.remove(&s.0);
-        core.snap_stats
-            .note_log_size(self.slots.len(), self.slot_bytes);
-        true
-    }
-
-    /// Durability: charges the disk write for freshly accepted values
-    /// and tags their slots with the write sequence, so a crash before
-    /// the covering fsync drops exactly them. No-op (beyond the no-op
-    /// [`EngineCore::durable_write`]) when durability is disabled.
-    fn note_values_durable(
+    /// Stores an accepted value and indexes its key. A slot committed
+    /// with a value keeps it (e.g. against a partitioned owner's stale
+    /// retransmission racing a revocation that decided a no-op there).
+    fn accept_value(
         &mut self,
         core: &mut EngineCore,
-        ctx: &mut Ctx<Msg>,
-        written: &[Slot],
-        bytes: usize,
-    ) {
-        if written.is_empty() {
-            return;
+        s: Slot,
+        term: Term,
+        cmd: Command,
+    ) -> Accepted {
+        let key = cmd.op.key().filter(|_| matches!(cmd.op, Op::Put { .. }));
+        let accepted = self.inst.accept(s, term, cmd);
+        if accepted == Accepted::Written {
+            if let Some(key) = key {
+                self.key_slots.entry(key).or_default().insert(s.0);
+            }
+            // A value landing in a crash-dropped own slot (our own
+            // recovery decision, or a revocation's) supersedes the loss
+            // marker.
+            self.lost_own.remove(&s.0);
+            self.inst.note_size(&mut core.snap_stats);
         }
-        core.durable_write(ctx, bytes, written.len());
-        if !core.dur.enabled() {
-            return;
-        }
-        let seq = core.dur.write_seq();
-        for s in written {
-            if let Some(slot) = self.slots.get_mut(&s.0) {
-                slot.wseq = seq;
+        accepted
+    }
+
+    /// Removes a discarded or dropped value from the key index.
+    fn unindex(&mut self, s: Slot, cmd: &Command) {
+        let Some(key) = cmd.op.key() else { return };
+        if let Some(set) = self.key_slots.get_mut(&key) {
+            set.remove(&s.0);
+            if set.is_empty() {
+                self.key_slots.remove(&key);
             }
         }
     }
 
-    /// Commit tally for own slots that just gained an ack bit (a
-    /// follower's `SuggestOk`, or this owner's own post-fsync vote):
-    /// the `SuggestOk` handler's counting rule factored out.
-    fn tally_own(&mut self, core: &mut EngineCore, slots: &[Slot], term: Term, bit: u64) {
-        let quorum_extra = max_failures(core.cfg.n); // f followers + me
-        for s in slots {
-            let Some(slot) = self.slots.get_mut(&s.0) else {
-                continue;
-            };
-            if slot.bal != term || slot.committed {
-                continue;
-            }
-            slot.acks |= bit;
-            if slot.acks.count_ones() as usize >= quorum_extra + 1 {
-                slot.committed = true;
-                self.commit_buf.push(*s);
-                self.await_respond.push(*s);
+    /// Forgets the slots a compaction or checkpoint install discarded.
+    fn forget_discarded(&mut self, gone: BTreeMap<u64, Instance<OwnSlot>>) {
+        for (s, slot) in gone {
+            if let Some(cmd) = slot.cmd {
+                self.unindex(Slot(s), &cmd);
             }
         }
+        self.lost_own = self.lost_own.split_off(&self.inst.floor().next().0);
+    }
+
+    /// Commit tally for own slots that gained an ack bit at `term` (a
+    /// `SuggestOk`, or our own post-fsync vote); newly committed slots
+    /// are announced and await their client response.
+    fn tally_own(&mut self, core: &EngineCore, slots: &[Slot], term: Term, bit: u64) {
+        let start = self.commit_buf.len();
+        let need = max_failures(core.cfg.n) + 1; // f followers + me
+        self.inst
+            .tally(slots, Some(term), bit, need, &mut self.commit_buf);
+        self.await_respond
+            .extend_from_slice(&self.commit_buf[start..]);
     }
 
     /// Advances my own watermark to cover everything below `target`
@@ -367,12 +298,12 @@ impl MenciusRules {
         if target <= self.next_own {
             return;
         }
-        let new_own = self.own_slot_at_or_after(core, target);
+        let new_own = MenciusReplica::first_slot_of(core.cfg.id, target, core.cfg.n);
         let mut s = self.next_own;
         while s < new_own {
-            let slot = self.slots.entry(s.0).or_default();
+            let slot = self.inst.map.entry(s.0).or_default();
             if slot.cmd.is_none() {
-                slot.skipped = true;
+                slot.ext.skipped = true;
                 self.skips_issued += 1;
             }
             s = Slot(s.0 + core.cfg.n as u64);
@@ -383,7 +314,7 @@ impl MenciusRules {
             ctx,
             MenciusMsg::SkipNotice {
                 watermark: self.next_own,
-                exec: self.exec_index,
+                exec: self.inst.exec,
             },
         );
     }
@@ -414,7 +345,7 @@ impl MenciusRules {
             return true;
         };
         match slots.range(..s.0).next_back() {
-            Some(&c) => self.exec_index.0 >= c,
+            Some(&c) => self.inst.exec.0 >= c,
             None => true,
         }
     }
@@ -424,10 +355,10 @@ impl MenciusRules {
         let mut still = Vec::new();
         let await_list = std::mem::take(&mut self.await_respond);
         for s in await_list {
-            let Some(slot) = self.slots.get(&s.0) else {
+            let Some(slot) = self.inst.map.get(&s.0) else {
                 continue;
             };
-            if slot.responded || slot.cmd.is_none() {
+            if slot.ext.responded || slot.cmd.is_none() {
                 continue;
             }
             let cmd = slot.cmd.clone().expect("checked");
@@ -436,7 +367,7 @@ impl MenciusRules {
                 && self.covered(core, s)
                 && if is_get {
                     // Reads need the value: wait for in-order apply.
-                    self.exec_index >= s
+                    self.inst.exec >= s
                 } else {
                     self.conflicts_applied(s, &cmd)
                 };
@@ -450,7 +381,7 @@ impl MenciusRules {
                     crate::kv::Reply::Done
                 };
                 core.respond(ctx, cmd.id, reply);
-                self.slots.get_mut(&s.0).expect("exists").responded = true;
+                self.inst.map.get_mut(&s.0).expect("exists").ext.responded = true;
             } else {
                 still.push(s);
             }
@@ -461,7 +392,7 @@ impl MenciusRules {
     /// Applies the decided prefix in slot order.
     fn try_execute(&mut self, core: &mut EngineCore, ctx: &mut Ctx<Msg>) {
         loop {
-            let next = self.exec_index.next();
+            let next = self.inst.exec.next();
             let Some(cmd) = self.decided_at(core, next) else {
                 break;
             };
@@ -472,74 +403,29 @@ impl MenciusRules {
                 let mine = MenciusReplica::owner_of(next, core.cfg.n) == core.cfg.id;
                 engine::apply_command(core, ctx, &cmd, mine);
             }
-            self.exec_index = next;
+            self.inst.exec = next;
         }
         self.try_respond(core, ctx);
         self.maybe_compact(core, ctx);
     }
 
-    /// Discards the executed slot prefix once it crosses the configured
-    /// threshold, checkpointing the state machine first. Own slots still
-    /// awaiting a client response are never discarded.
+    /// Checkpoints and discards the executed slot prefix once it crosses
+    /// the configured threshold. Own slots still awaiting a client
+    /// response are never discarded; the checkpoint itself captures the
+    /// full executed prefix, which may run ahead of the discard point.
     fn maybe_compact(&mut self, core: &mut EngineCore, ctx: &mut Ctx<Msg>) {
-        if !core.cfg.snapshot.enabled() {
-            return;
-        }
-        let mut upto = self.exec_index;
+        let mut upto = self.inst.exec;
         for &s in &self.await_respond {
             if s <= upto {
                 upto = s.prev();
             }
         }
-        if upto <= self.compacted_through {
+        if upto <= self.inst.floor() {
             return;
         }
-        let executed_retained = (upto.0 - self.compacted_through.0) as usize;
-        if !core
-            .cfg
-            .snapshot
-            .should_compact(executed_retained, self.slot_bytes)
-        {
-            return;
+        if let Some(gone) = self.inst.maybe_compact(core, ctx, upto) {
+            self.forget_discarded(gone);
         }
-        // The durable checkpoint captures the state at `exec_index`
-        // (which may run ahead of the discard point `upto`); restores
-        // and transfers always use the full executed prefix.
-        let snap = Snapshot {
-            last_slot: self.exec_index,
-            last_term: Term::ZERO,
-            kv: core.kv.snapshot(),
-        };
-        ctx.charge(core.cfg.costs.snapshot_cost(snap.size_bytes()));
-        // The checkpoint file replaces the discarded slots as their
-        // durable form; charge its write (modeled atomic, no ack waits
-        // on it — see `raft_family::RaftBase::maybe_compact`).
-        core.durable_write(ctx, snap.size_bytes(), 1);
-        self.discard_through(core, upto);
-        self.compacted_through = upto;
-        core.stable_snap = Some(snap);
-        core.snap_stats.compactions += 1;
-    }
-
-    /// Drops slot state at or below `upto`, unindexing keys and bytes.
-    fn discard_through(&mut self, core: &mut EngineCore, upto: Slot) {
-        let retained = self.slots.split_off(&(upto.0 + 1));
-        core.snap_stats.entries_discarded += self.slots.len() as u64;
-        for (s, slot) in std::mem::replace(&mut self.slots, retained) {
-            if let Some(cmd) = slot.cmd {
-                self.slot_bytes -= cmd.size_bytes();
-                if let Some(key) = cmd.op.key() {
-                    if let Some(set) = self.key_slots.get_mut(&key) {
-                        set.remove(&s);
-                        if set.is_empty() {
-                            self.key_slots.remove(&key);
-                        }
-                    }
-                }
-            }
-        }
-        self.committed_no_value = self.committed_no_value.split_off(&(upto.0 + 1));
-        self.lost_own = self.lost_own.split_off(&(upto.0 + 1));
     }
 
     fn flush_commits(&mut self, core: &EngineCore, ctx: &mut Ctx<Msg>) {
@@ -570,42 +456,63 @@ impl MenciusRules {
         let retry = core.cfg.retry_interval;
         let me = core.cfg.id;
         let n = core.cfg.n;
-        let mut by_term: BTreeMap<Term, Vec<(Slot, Command)>> = BTreeMap::new();
+        let mut values = Vec::new();
         let mut committed = Vec::new();
-        let mut taken = 0usize;
-        for (&s, slot) in self.slots.range_mut(self.exec_index.next().0..) {
-            if taken >= 64 {
+        let from = self.inst.exec.next().0;
+        for (&s, slot) in self.inst.map.range_mut(from..) {
+            if values.len() >= 64 {
                 break;
             }
-            if MenciusReplica::owner_of(Slot(s), n) != me || slot.skipped {
+            if MenciusReplica::owner_of(Slot(s), n) != me || slot.ext.skipped {
                 continue;
             }
             let Some(cmd) = slot.cmd.clone() else {
                 continue;
             };
-            if now.since(slot.suggested_at.min(now)) <= retry {
+            if now.since(slot.ext.suggested_at.min(now)) <= retry {
                 continue;
             }
-            slot.suggested_at = now;
+            slot.ext.suggested_at = now;
             if slot.committed {
                 committed.push(Slot(s));
             }
-            by_term.entry(slot.bal).or_default().push((Slot(s), cmd));
-            taken += 1;
+            values.push((Slot(s), slot.bal, cmd));
         }
-        for (term, items) in by_term {
-            self.broadcast(
-                core,
-                ctx,
-                MenciusMsg::Suggest {
-                    term,
-                    items,
-                    watermark: self.next_own,
-                },
-            );
+        self.resuggest(core, ctx, None, values, committed);
+    }
+
+    /// Re-sends own values in per-term `Suggest` rounds, each at the
+    /// term it was accepted at, then a `Commit` for `committed` — to
+    /// every peer, or to `to` alone.
+    fn resuggest(
+        &self,
+        core: &EngineCore,
+        ctx: &mut Ctx<Msg>,
+        to: Option<NodeId>,
+        values: Vec<(Slot, Term, Command)>,
+        committed: Vec<Slot>,
+    ) {
+        let mut by_term: BTreeMap<Term, Vec<(Slot, Command)>> = BTreeMap::new();
+        for (s, term, cmd) in values {
+            by_term.entry(term).or_default().push((s, cmd));
         }
+        let watermark = self.next_own;
+        let mut msgs: Vec<MenciusMsg> = by_term
+            .into_iter()
+            .map(|(term, items)| MenciusMsg::Suggest {
+                term,
+                items,
+                watermark,
+            })
+            .collect();
         if !committed.is_empty() {
-            self.broadcast(core, ctx, MenciusMsg::Commit { slots: committed });
+            msgs.push(MenciusMsg::Commit { slots: committed });
+        }
+        for msg in msgs {
+            match to {
+                Some(peer) => ctx.send(core.cfg.peer(peer), Msg::Mencius(msg)),
+                None => self.broadcast(core, ctx, msg),
+            }
         }
     }
 
@@ -623,51 +530,25 @@ impl MenciusRules {
             let Some(fexec) = core.progress.stalled_exec(peer) else {
                 continue;
             };
-            if fexec >= self.exec_index || fexec < self.compacted_through {
+            if fexec >= self.inst.exec || fexec < self.inst.floor() {
                 continue;
             }
-            // Replay each slot at the term it was accepted at (see
+            // Each slot is replayed at the term it was accepted at (see
             // `retransmit_own_unexecuted` for why `current_term` would
-            // be wrong), grouped into per-term rounds.
-            let mut by_term: BTreeMap<Term, Vec<(Slot, Command)>> = BTreeMap::new();
-            let mut slots = Vec::new();
-            for (&s, slot) in self.slots.range(fexec.next().0..) {
-                if slots.len() >= 64 {
-                    break;
-                }
-                if MenciusReplica::owner_of(Slot(s), core.cfg.n) != core.cfg.id || !slot.committed {
-                    continue;
-                }
-                let Some(cmd) = slot.cmd.clone() else {
-                    continue;
-                };
-                by_term.entry(slot.bal).or_default().push((Slot(s), cmd));
-                slots.push(Slot(s));
-            }
-            if slots.is_empty() {
-                continue;
-            }
-            for (term, items) in by_term {
-                ctx.send(
-                    core.cfg.peer(peer),
-                    Msg::Mencius(MenciusMsg::Suggest {
-                        term,
-                        items,
-                        watermark: self.next_own,
-                    }),
-                );
-            }
-            ctx.send(
-                core.cfg.peer(peer),
-                Msg::Mencius(MenciusMsg::Commit { slots }),
-            );
+            // be wrong).
+            let (me, n) = (core.cfg.id, core.cfg.n);
+            let values = self
+                .inst
+                .replay(fexec, |s| MenciusReplica::owner_of(s, n) == me);
+            let slots = values.iter().map(|v| v.0).collect();
+            self.resuggest(core, ctx, Some(peer), values, slots);
         }
     }
 
     /// The highest slot any owner is known to have reached (sizing the
     /// revocation range).
     fn horizon(&self) -> Slot {
-        let max_slot = self.slots.keys().next_back().copied().unwrap_or(0);
+        let max_slot = self.inst.tail().0;
         let max_known = self.known_upto.iter().map(|s| s.0).max().unwrap_or(0);
         Slot(max_slot.max(max_known).max(self.next_own.0))
     }
@@ -681,19 +562,16 @@ impl MenciusRules {
     fn maybe_revoke(&mut self, core: &mut EngineCore, ctx: &mut Ctx<Msg>) {
         let now = ctx.now();
         if self.revoke.is_some() {
-            // A revocation whose `RevokeOk`s never arrive (e.g. our
-            // ballot was stale and peers silently ignored it) would
-            // otherwise pin recovery shut forever; retry with a fresh
-            // ballot. Only reachable with durability on — the default
-            // configuration keeps the original fire-once behavior.
-            if !core.dur.enabled()
-                || now.since(self.last_revoke_attempt.min(now)) < core.cfg.mencius.revoke_timeout
-            {
+            // A revocation whose `RevokeOk`s never arrive (lost on the
+            // wire, or our ballot was stale and peers silently ignored
+            // it) would otherwise pin recovery shut forever; retry with
+            // a fresh ballot.
+            if now.since(self.last_revoke_attempt.min(now)) < core.cfg.mencius.revoke_timeout {
                 return;
             }
             self.revoke = None;
         }
-        let next = self.exec_index.next();
+        let next = self.inst.exec.next();
         if self.decided_at(core, next).is_some() {
             return; // not blocked
         }
@@ -742,7 +620,11 @@ impl MenciusRules {
             from,
             through,
             acks: core.me_bit(),
-            accepted: self.accepted_in_range(core, owner, from, through),
+            accepted: self
+                .owned_accepted(core, owner, from, through)
+                .into_iter()
+                .map(|(s, b, c)| (s.0, (b, c)))
+                .collect(),
         };
         self.broadcast(
             core,
@@ -759,22 +641,17 @@ impl MenciusRules {
         self.revoke = Some(op);
     }
 
-    fn accepted_in_range(
+    /// `owner`'s accepted values in the range (revocation phase 1).
+    fn owned_accepted(
         &self,
         core: &EngineCore,
         owner: NodeId,
         from: Slot,
         through: Slot,
-    ) -> BTreeMap<u64, (Term, Command)> {
-        let mut out = BTreeMap::new();
-        for (&s, slot) in self.slots.range(from.0..=through.0) {
-            if MenciusReplica::owner_of(Slot(s), core.cfg.n) == owner {
-                if let Some(cmd) = &slot.cmd {
-                    out.insert(s, (slot.bal, cmd.clone()));
-                }
-            }
-        }
-        out
+    ) -> Vec<(Slot, Term, Command)> {
+        let n = core.cfg.n;
+        let owned = |s| MenciusReplica::owner_of(s, n) == owner;
+        self.inst.accepted(from.0..=through.0, owned)
     }
 
     /// Raises the ballot on `owner`'s undecided slots in the range so the
@@ -787,19 +664,13 @@ impl MenciusRules {
         through: Slot,
         term: Term,
     ) {
-        let n = core.cfg.n as u64;
-        let mut s = {
-            // First slot of `owner` at or after `from`.
-            let rem = (from.0.max(1) - 1) % n;
-            let delta = (owner.0 as u64 + n - rem) % n;
-            Slot(from.0.max(1) + delta)
-        };
+        let mut s = MenciusReplica::first_slot_of(owner, from, core.cfg.n);
         while s <= through {
-            let slot = self.slots.entry(s.0).or_default();
+            let slot = self.inst.map.entry(s.0).or_default();
             if term > slot.bal {
                 slot.bal = term;
             }
-            s = Slot(s.0 + n);
+            s = Slot(s.0 + core.cfg.n as u64);
         }
     }
 
@@ -832,22 +703,17 @@ impl MenciusRules {
                 let mut written = Vec::new();
                 let mut written_bytes = 0usize;
                 for (s, cmd) in items {
-                    if s <= self.compacted_through {
+                    if s <= self.inst.floor() {
                         // Decided and checkpointed away; the lagging
                         // owner converges via Checkpoint, not re-accept.
                         continue;
                     }
-                    let bal = self.slots.get(&s.0).map(|x| x.bal).unwrap_or(Term::ZERO);
+                    let bal = self.inst.map.get(&s.0).map_or(Term::ZERO, |x| x.bal);
                     if term >= bal {
-                        // Already committed with a value: a duplicate,
-                        // nothing new reaches the disk.
-                        let already = self
-                            .slots
-                            .get(&s.0)
-                            .is_some_and(|x| x.committed && x.cmd.is_some());
                         let sz = cmd.size_bytes();
-                        self.accept_value(core, s, term, cmd);
-                        if !already {
+                        // Already committed with a value (`Held`): a
+                        // duplicate, nothing new reaches the disk.
+                        if self.accept_value(core, s, term, cmd) == Accepted::Written {
                             written.push(s);
                             written_bytes += sz;
                         }
@@ -860,7 +726,7 @@ impl MenciusRules {
                         reject_term = reject_term.max(bal);
                     }
                 }
-                self.note_values_durable(core, ctx, &written, written_bytes);
+                self.inst.persist(core, ctx, &written, written_bytes);
                 self.note_known(core, peer, watermark.max(max_slot.next()));
                 // Skip my own unused slots below the suggestion (the
                 // piggybacked skip of Appendix A.3).
@@ -914,14 +780,16 @@ impl MenciusRules {
                     }
                 }
                 for s in slots {
-                    let Some(slot) = self.slots.get_mut(&s.0) else {
+                    let Some(slot) = self.inst.map.get_mut(&s.0) else {
                         continue;
                     };
-                    if slot.committed || slot.responded {
+                    if slot.committed || slot.ext.responded {
                         continue;
                     }
+                    // Taken around the store, so its bytes stay counted
+                    // in the compaction trigger (a known leak; ROADMAP).
                     if let Some(cmd) = slot.cmd.take() {
-                        slot.skipped = true; // treat as noop locally
+                        slot.ext.skipped = true; // treat as noop locally
                         core.pending.push(cmd);
                     }
                 }
@@ -938,12 +806,12 @@ impl MenciusRules {
                 // A peer whose executed prefix fell below our checkpoint
                 // floor can never learn the dropped commit decisions
                 // from us: ship it the state instead.
-                if exec < self.compacted_through {
-                    crate::engine::ship_snapshot(
+                if exec < self.inst.floor() {
+                    engine::ship_snapshot(
                         core,
                         ctx,
                         peer,
-                        (self.exec_index, Term::ZERO),
+                        (self.inst.exec, Term::ZERO),
                         Term::ZERO,
                     );
                 }
@@ -952,16 +820,9 @@ impl MenciusRules {
             MenciusMsg::Commit { slots } => {
                 ctx.charge(core.cfg.costs.coord_msg);
                 for s in slots {
-                    if s <= self.compacted_through {
-                        continue; // already executed and checkpointed
+                    if self.inst.learn(s) {
+                        self.note_known(core, peer, Slot(s.0 + 1));
                     }
-                    match self.slots.get_mut(&s.0) {
-                        Some(slot) if slot.cmd.is_some() => slot.committed = true,
-                        _ => {
-                            self.committed_no_value.insert(s.0);
-                        }
-                    }
-                    self.note_known(core, peer, Slot(s.0 + 1));
                 }
                 self.try_execute(core, ctx);
             }
@@ -973,11 +834,7 @@ impl MenciusRules {
             } => {
                 if term > self.current_term {
                     // Promise: raise ballots on the revoked range.
-                    let accepted: Vec<(Slot, Term, Command)> = self
-                        .accepted_in_range(core, owner, rfrom, through)
-                        .into_iter()
-                        .map(|(s, (b, c))| (Slot(s), b, c))
-                        .collect();
+                    let accepted = self.owned_accepted(core, owner, rfrom, through);
                     self.promise_range(core, owner, rfrom, through, term);
                     ctx.send(
                         from,
@@ -1016,11 +873,7 @@ impl MenciusRules {
                     let op = self.revoke.take().expect("checked");
                     let n = core.cfg.n as u64;
                     let mut items = Vec::new();
-                    let mut s = {
-                        let rem = (op.from.0.max(1) - 1) % n;
-                        let delta = (op.owner.0 as u64 + n - rem) % n;
-                        Slot(op.from.0.max(1) + delta)
-                    };
+                    let mut s = MenciusReplica::first_slot_of(op.owner, op.from, core.cfg.n);
                     while s <= op.through {
                         let cmd = op
                             .accepted
@@ -1039,14 +892,14 @@ impl MenciusRules {
                     let mut written_bytes = 0usize;
                     for (s, cmd) in &items {
                         let sz = cmd.size_bytes();
-                        if self.accept_value(core, *s, op.term, cmd.clone()) {
-                            let slot = self.slots.get_mut(&s.0).expect("accepted");
-                            slot.committed = true;
+                        if self.accept_value(core, *s, op.term, cmd.clone()) != Accepted::BelowFloor
+                        {
+                            self.inst.map.get_mut(&s.0).expect("accepted").committed = true;
                             written.push(*s);
                             written_bytes += sz;
                         }
                     }
-                    self.note_values_durable(core, ctx, &written, written_bytes);
+                    self.inst.persist(core, ctx, &written, written_bytes);
                     self.note_known(core, op.owner, Slot(op.through.0 + 1));
                     self.broadcast(
                         core,
@@ -1064,14 +917,14 @@ impl MenciusRules {
                 let mut written = Vec::new();
                 let mut written_bytes = 0usize;
                 for (s, cmd) in items {
-                    if s <= self.compacted_through {
+                    if s <= self.inst.floor() {
                         continue; // already executed and checkpointed
                     }
                     let owner = MenciusReplica::owner_of(s, core.cfg.n);
                     // If our own in-flight command was no-oped, re-propose.
                     if owner == core.cfg.id {
-                        if let Some(slot) = self.slots.get(&s.0) {
-                            if !slot.responded {
+                        if let Some(slot) = self.inst.map.get(&s.0) {
+                            if !slot.ext.responded {
                                 if let Some(mine) = &slot.cmd {
                                     if *mine != cmd {
                                         core.pending.push(mine.clone());
@@ -1081,14 +934,13 @@ impl MenciusRules {
                             }
                         }
                         // Our future proposals must clear the range.
-                        let above = self.own_slot_at_or_after(core, s.next());
-                        if above > self.next_own {
-                            self.next_own = above;
-                        }
+                        let above =
+                            MenciusReplica::first_slot_of(core.cfg.id, s.next(), core.cfg.n);
+                        self.next_own = self.next_own.max(above);
                     }
                     let sz = cmd.size_bytes();
-                    if self.accept_value(core, s, term, cmd) {
-                        let slot = self.slots.get_mut(&s.0).expect("accepted");
+                    if self.accept_value(core, s, term, cmd) != Accepted::BelowFloor {
+                        let slot = self.inst.map.get_mut(&s.0).expect("accepted");
                         if term >= slot.bal {
                             slot.committed = true;
                         }
@@ -1097,7 +949,7 @@ impl MenciusRules {
                     }
                     self.note_known(core, owner, s.next());
                 }
-                self.note_values_durable(core, ctx, &written, written_bytes);
+                self.inst.persist(core, ctx, &written, written_bytes);
                 if reproposed {
                     core.arm_batch(ctx);
                 }
@@ -1115,7 +967,7 @@ impl ProtocolRules for MenciusRules {
     }
 
     fn applied_index(&self, _core: &EngineCore) -> Slot {
-        self.exec_index
+        self.inst.exec
     }
 
     fn extra_propose_cost(&self, costs: &CostModel) -> SimDuration {
@@ -1131,25 +983,18 @@ impl ProtocolRules for MenciusRules {
     fn propose(&mut self, core: &mut EngineCore, ctx: &mut Ctx<Msg>, cmds: Vec<Command>) {
         let mut items = Vec::with_capacity(cmds.len());
         // With durability on, the owner's implicit ack waits for its own
-        // fsync (`on_durable` adds the bit); otherwise it is immediate.
-        let self_ack = if core.dur.enabled() { 0 } else { core.me_bit() };
-        let mut bytes = 0usize;
+        // fsync (`on_durable` adds the bit).
+        let own_vote = if core.dur.enabled() { 0 } else { core.me_bit() };
         for cmd in cmds {
             let s = self.next_own;
             self.next_own = Slot(self.next_own.0 + core.cfg.n as u64);
-            bytes += cmd.size_bytes();
             self.accept_value(core, s, self.current_term, cmd.clone());
-            let slot = self.slots.get_mut(&s.0).expect("just accepted");
-            slot.acks = self_ack;
-            slot.suggested_at = ctx.now();
+            let slot = self.inst.map.get_mut(&s.0).expect("just accepted");
+            slot.acks = own_vote;
+            slot.ext.suggested_at = ctx.now();
             items.push((s, cmd));
         }
-        let slots: Vec<Slot> = items.iter().map(|(s, _)| *s).collect();
-        self.note_values_durable(core, ctx, &slots, bytes);
-        if core.dur.enabled() && !slots.is_empty() {
-            self.pending_self
-                .push((core.dur.write_seq(), self.current_term, slots));
-        }
+        self.inst.persist_own(core, ctx, &items, self.current_term);
         if let (Some(&(first, _)), Some(&(upto, _))) = (items.first(), items.last()) {
             let peers: Vec<NodeId> = core.cfg.others().collect();
             for peer in peers {
@@ -1197,7 +1042,7 @@ impl ProtocolRules for MenciusRules {
             ctx,
             MenciusMsg::SkipNotice {
                 watermark: self.next_own,
-                exec: self.exec_index,
+                exec: self.inst.exec,
             },
         );
         self.flush_commits(core, ctx);
@@ -1215,28 +1060,16 @@ impl ProtocolRules for MenciusRules {
     }
 
     /// A local fsync completed: add this owner's own (previously
-    /// withheld) ack bit to the suggestions the sync covered. Batches
-    /// whose slots were since re-balloted (a `SuggestReject`, a
-    /// revocation) simply fail the per-slot term check in `tally_own`.
+    /// withheld) ack bit to the suggestions the sync covered. Slots
+    /// since re-balloted (a `SuggestReject`, a revocation) fail the
+    /// per-slot term check of the tally.
     fn on_durable(&mut self, core: &mut EngineCore, ctx: &mut Ctx<Msg>) {
-        if self.pending_self.is_empty() {
-            return;
-        }
-        let synced = core.dur.synced_seq();
-        let me = core.me_bit();
-        let mut ready: Vec<(Term, Vec<Slot>)> = Vec::new();
-        self.pending_self.retain(|(seq, term, slots)| {
-            if *seq > synced {
-                return true;
-            }
-            ready.push((*term, slots.clone()));
-            false
-        });
+        let ready = self.inst.take_synced_votes(core.dur.synced_seq());
         if ready.is_empty() {
             return;
         }
         for (term, slots) in ready {
-            self.tally_own(core, &slots, term, me);
+            self.tally_own(core, &slots, term, core.me_bit());
         }
         self.flush_commits(core, ctx);
         self.try_execute(core, ctx);
@@ -1257,14 +1090,14 @@ impl ProtocolRules for MenciusRules {
 
     fn accept_snapshot_chunk(
         &mut self,
-        _core: &mut EngineCore,
+        core: &mut EngineCore,
         ctx: &mut Ctx<Msg>,
         from: ActorId,
         _seal: Term,
     ) -> bool {
         // Multi-leader transfers are ballot-free; any peer may ship us
         // its state. The chunk doubles as a liveness signal.
-        self.last_heard[_core.cfg.node_of(from).0 as usize] = ctx.now();
+        self.last_heard[core.cfg.node_of(from).0 as usize] = ctx.now();
         true
     }
 
@@ -1276,42 +1109,23 @@ impl ProtocolRules for MenciusRules {
         from: ActorId,
         snap: Snapshot,
     ) {
-        if snap.last_slot > self.exec_index {
-            ctx.charge(core.cfg.costs.snapshot_cost(snap.size_bytes()));
-            // The installed checkpoint is this replica's new recovery
-            // floor; the ack below attests to holding it, so the write
-            // is charged and the ack deferred behind its fsync.
-            core.durable_write(ctx, snap.size_bytes(), 1);
-            core.kv.restore(&snap.kv);
-            self.exec_index = snap.last_slot;
-            self.discard_through(core, snap.last_slot);
-            self.compacted_through = self.compacted_through.max(snap.last_slot);
+        let last = snap.last_slot;
+        if let Some(gone) = self.inst.install(core, ctx, snap) {
+            core.snap_stats.entries_discarded += gone.len() as u64;
+            self.forget_discarded(gone);
             // Everything covered is decided at every owner.
-            for o in 0..core.cfg.n as u32 {
-                let k = &mut self.known_upto[o as usize];
-                if snap.last_slot.next() > *k {
-                    *k = snap.last_slot.next();
-                }
+            for k in &mut self.known_upto {
+                *k = (*k).max(last.next());
             }
-            let above = self.own_slot_at_or_after(core, snap.last_slot.next());
-            if above > self.next_own {
-                self.next_own = above;
-            }
+            let above = MenciusReplica::first_slot_of(core.cfg.id, last.next(), core.cfg.n);
+            self.next_own = self.next_own.max(above);
             // Own in-flight slots inside the covered range were decided
             // without us (revoked to no-ops); their clients re-submit
             // and the restored sessions deduplicate.
-            self.await_respond.retain(|&s| s > snap.last_slot);
-            core.stable_snap = Some(snap.clone());
-            core.snap_stats.snapshots_installed += 1;
+            self.await_respond.retain(|&s| s > last);
             self.try_execute(core, ctx);
         }
-        let ack = Msg::Engine(EngineMsg::SnapshotAck {
-            group: core.cfg.group_id(),
-            seal: Term::ZERO,
-            upto: self.exec_index,
-            header_bytes: core.snap_wire.1,
-        });
-        core.ack_after_sync(ctx, from, ack);
+        self.inst.ack_checkpoint(core, ctx, from, Term::ZERO);
     }
 
     fn on_snapshot_ack(
@@ -1336,52 +1150,31 @@ impl ProtocolRules for MenciusRules {
         // and re-executes the retained decided suffix.
         //
         // Durability: accepted values whose write never fsynced are
-        // gone. Their `SuggestOk` (or this owner's own pending
-        // self-vote) was withheld by the ack-after-fsync invariant, so
-        // they contributed to no quorum and dropping them cannot lose
-        // chosen state. A committed slot losing its value degrades to
-        // committed-without-value (re-fetched from the owner's replay);
-        // an *own* uncommitted slot goes to `lost_own` for phase-1
-        // self-recovery (module docs). The ballot in `bal` is free
-        // always-durable metadata — promises survive; only value
-        // payloads rode the modeled disk.
-        if core.dur.enabled() {
-            let synced = core.dur.synced_seq();
-            let from = self.compacted_through.0 + 1;
-            for (&s, slot) in self.slots.range_mut(from..) {
-                if slot.wseq > synced && slot.cmd.is_some() {
-                    let cmd = slot.cmd.take().expect("checked");
-                    self.slot_bytes -= cmd.size_bytes();
-                    if let Some(key) = cmd.op.key() {
-                        if let Some(set) = self.key_slots.get_mut(&key) {
-                            set.remove(&s);
-                            if set.is_empty() {
-                                self.key_slots.remove(&key);
-                            }
-                        }
-                    }
-                    slot.acks = 0;
-                    slot.wseq = 0;
-                    if slot.committed {
-                        slot.committed = false;
-                        self.committed_no_value.insert(s);
-                    } else if MenciusReplica::owner_of(Slot(s), core.cfg.n) == core.cfg.id
-                        && !slot.skipped
-                    {
-                        self.lost_own.insert(s);
-                    }
-                }
+        // gone (`Instances::drop_unsynced`). A committed slot losing
+        // its value awaits it from the owner's replay; an *own*
+        // uncommitted slot goes to `lost_own` for phase-1 self-recovery
+        // (module docs).
+        let from = self.inst.floor().next();
+        for (s, cmd) in self.inst.drop_unsynced(core.dur.synced_seq(), from) {
+            self.unindex(s, &cmd);
+            let skipped = self.inst.map.get(&s.0).is_some_and(|x| x.ext.skipped);
+            // A dropped committed slot now awaits its value; the rest
+            // were uncommitted.
+            if !self.inst.awaits_value(s)
+                && MenciusReplica::owner_of(s, core.cfg.n) == core.cfg.id
+                && !skipped
+            {
+                self.lost_own.insert(s.0);
             }
-            self.pending_self.clear();
         }
         self.await_respond.clear();
         self.commit_buf.clear();
         self.revoke = None;
         core.kv = crate::kv::KvStore::new();
-        self.exec_index = Slot::NONE;
+        self.inst.exec = Slot::NONE;
         if let Some(snap) = &core.stable_snap {
             core.kv.restore(&snap.kv);
-            self.exec_index = snap.last_slot;
+            self.inst.exec = snap.last_slot;
         }
     }
 }
@@ -1539,6 +1332,29 @@ mod tests {
         // And the dead owner's slots are decided (no-ops) at survivors.
         let r0 = sim.actor::<MenciusReplica>(replicas[0]);
         assert!(r0.exec_index().0 >= 4);
+    }
+
+    #[test]
+    fn lost_revocation_round_is_retried() {
+        let (mut sim, replicas, clients) = mencius_cluster(3);
+        sim.actor_mut::<TestClient>(clients[0]).enqueue_put(1);
+        assert!(drive_until(&mut sim, SimTime::from_secs(5), |sim| {
+            sim.actor::<TestClient>(clients[0]).replies.len() == 1
+        }));
+        let t1 = sim.now();
+        sim.crash_at(replicas[2], t1 + SimDuration::from_millis(1));
+        sim.actor_mut::<TestClient>(clients[0]).enqueue_put(2);
+        // Replicas 0 and 1 cannot reach each other while the first
+        // revocation round against the crashed owner runs (its silence
+        // timeout is 2 s), so that round's messages are lost.
+        sim.partition_at(vec![0, 1, 2, 0, 1, 2], t1 + SimDuration::from_millis(1500));
+        sim.heal_at(t1 + SimDuration::from_millis(3000));
+        assert!(
+            drive_until(&mut sim, t1 + SimDuration::from_secs(30), |sim| {
+                sim.actor::<TestClient>(clients[0]).replies.len() == 2
+            }),
+            "a fresh revocation round unblocks the write after the heal"
+        );
     }
 
     #[test]

@@ -9,68 +9,32 @@
 //! execution still applies the log prefix in order.
 //!
 //! Batching, forwarding, client dedup and checkpoint transfer are
-//! engine-provided; this file holds only ballots, the instance store,
-//! phase-1 value adoption and the per-instance commit rule.
+//! engine-provided, and the instance store is the Paxos family's shared
+//! `Instances`; this file holds only ballots, phase-1 value adoption
+//! and the per-instance commit rule.
 //!
 //! # Durability (group commit)
 //!
-//! With a [`crate::config::DurabilityConfig`] enabled, an accepted value
-//! is charged as a disk write and its `acceptOK` is routed through
-//! [`EngineCore::ack_after_sync`]: a Phase2b vote is a promise that the
-//! accepted value survives a crash (Paxos's acceptor-persistence
-//! requirement), so it may not outrun the fsync covering it. The
-//! proposer's *own* implicit acceptOK gets the same treatment — with
-//! durability on, a freshly proposed instance seeds an empty ack bitmap
-//! and the self-vote is added by the engine's `on_durable` hook only
-//! once the local write is fsynced ([`PaxosRules::pending_self`]).
-//! Crash-restart drops accepted values whose write never synced
-//! ([`Instance::wseq`] beyond the durable watermark): unsynced and
-//! unacked they contributed to no quorum, so dropping them cannot lose
-//! chosen state — a *committed* instance that loses its value this way
-//! degrades to `committed_no_value` and is re-fetched. Ballot promises
-//! are modeled like Raft terms: a tiny always-durable metadata write
-//! (ballots survive crashes), so `prepareOK` defers only behind
-//! outstanding *value* writes.
+//! With a [`crate::config::DurabilityConfig`] enabled, a Phase2b vote
+//! is a promise that the accepted value survives a crash (Paxos's
+//! acceptor-persistence requirement), so the `acceptOK` is routed
+//! through [`EngineCore::ack_after_sync`], and the proposer's own vote
+//! counts only once its write is fsynced; a crash drops the values whose
+//! write never synced (the store's `persist_own`, `take_synced_votes`
+//! and `drop_unsynced`). Ballot promises are modeled like Raft terms: a
+//! tiny always-durable metadata write (ballots survive crashes), so
+//! `prepareOK` defers only behind outstanding *value* writes.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, HashMap};
 
 use paxraft_sim::sim::{ActorId, Ctx};
 
 use crate::config::ReplicaConfig;
-use crate::engine::{self, EngineCore, ProtocolRules, ReplicaEngine};
+use crate::engine::{self, Accepted, EngineCore, Instances, ProtocolRules, ReplicaEngine};
 use crate::kv::Command;
-use crate::msg::{EngineMsg, Msg, PaxosMsg};
+use crate::msg::{Msg, PaxosMsg};
 use crate::snapshot::Snapshot;
 use crate::types::{quorum, NodeId, Slot, Term};
-
-/// One Paxos instance (Figure 1's `s.instances[i]`).
-#[derive(Debug, Clone)]
-struct Instance {
-    /// Highest ballot this replica accepted the value at (`instance.bal`).
-    bal: Term,
-    /// The accepted value (`instance.val`).
-    cmd: Option<Command>,
-    /// Whether the value is known chosen.
-    committed: bool,
-    /// Leader-side acknowledgement bitmap for the current ballot.
-    acks: u64,
-    /// Durability: engine write sequence of the last value write (0 when
-    /// durability is disabled). A crash drops values whose write never
-    /// fsynced (`wseq` beyond the durable watermark).
-    wseq: u64,
-}
-
-impl Instance {
-    fn empty() -> Self {
-        Instance {
-            bal: Term::ZERO,
-            cmd: None,
-            committed: false,
-            acks: 0,
-            wseq: 0,
-        }
-    }
-}
 
 /// A MultiPaxos replica (proposer + acceptor + learner): the shared
 /// engine running [`PaxosRules`].
@@ -83,26 +47,14 @@ pub struct PaxosRules {
     ballot: Term,
     /// Figure 1's `phase1Succeeded`: this replica is the active proposer.
     phase1_succeeded: bool,
-    instances: BTreeMap<u64, Instance>,
-    /// Chosen-slot notifications that arrived before their Accept.
-    committed_no_value: BTreeSet<u64>,
+    /// Figure 1's `s.instances`, with the applied prefix and checkpoint
+    /// floor.
+    inst: Instances<()>,
     /// Leader's next unused instance id.
     next_slot: Slot,
     /// Phase-1 replies: voter → (accepted entries, log tail, checkpoint
     /// floor).
     prepare_acks: HashMap<NodeId, (Vec<(Slot, Term, Command)>, Slot, Slot)>,
-    /// All instances below this are applied.
-    exec_index: Slot,
-    /// Checkpoint floor: instances at or below it were discarded after
-    /// execution; their effects live in the state machine (and in
-    /// `stable_snap`).
-    compacted_through: Slot,
-    /// Retained instance payload bytes (compaction byte trigger).
-    instance_bytes: usize,
-    /// Durability: proposals whose *own* acceptOK awaits the local
-    /// fsync, as (write seq, ballot, slots). Drained by `on_durable`;
-    /// empty when durability is disabled (the self-vote is immediate).
-    pending_self: Vec<(u64, Term, Vec<Slot>)>,
 }
 
 impl MultiPaxosReplica {
@@ -118,14 +70,9 @@ impl MultiPaxosReplica {
             PaxosRules {
                 ballot: Term::ZERO,
                 phase1_succeeded: false,
-                instances: BTreeMap::new(),
-                committed_no_value: BTreeSet::new(),
+                inst: Instances::default(),
                 next_slot: Slot(1),
                 prepare_acks: HashMap::new(),
-                exec_index: Slot::NONE,
-                compacted_through: Slot::NONE,
-                instance_bytes: 0,
-                pending_self: Vec::new(),
             },
         )
     }
@@ -137,12 +84,12 @@ impl MultiPaxosReplica {
 
     /// Applied prefix (for tests).
     pub fn exec_index(&self) -> Slot {
-        self.rules.exec_index
+        self.rules.inst.exec
     }
 
     /// Chosen value at a slot, if committed (for agreement tests).
     pub fn committed_at(&self, slot: Slot) -> Option<&Command> {
-        let inst = self.rules.instances.get(&slot.0)?;
+        let inst = self.rules.inst.map.get(&slot.0)?;
         if inst.committed {
             inst.cmd.as_ref()
         } else {
@@ -152,7 +99,7 @@ impl MultiPaxosReplica {
 
     /// Retained (uncompacted) instances.
     pub fn retained_instances(&self) -> usize {
-        self.rules.instances.len()
+        self.rules.inst.map.len()
     }
 }
 
@@ -165,6 +112,15 @@ impl PaxosRules {
         for peer in core.cfg.others() {
             ctx.send(core.cfg.peer(peer), Msg::Paxos(msg.clone()));
         }
+    }
+
+    /// A Figure 1 `Phase2a` message at our ballot.
+    fn accept(&self, items: Vec<(Slot, Command)>, window_room: bool) -> Msg {
+        Msg::Paxos(PaxosMsg::Accept {
+            ballot: self.ballot,
+            items,
+            window_room,
+        })
     }
 
     /// Ships one pipelined Accept round: every acceptor whose window has
@@ -195,11 +151,7 @@ impl PaxosRules {
             let window_room = core.progress.quorum_has_room(core.cfg.id);
             ctx.send(
                 core.cfg.peer(peer),
-                Msg::Paxos(PaxosMsg::Accept {
-                    ballot: self.ballot,
-                    items: items.to_vec(),
-                    window_room,
-                }),
+                self.accept(items.to_vec(), window_room),
             );
         }
     }
@@ -214,13 +166,7 @@ impl PaxosRules {
         if cursor >= highest || !core.progress.has_room(peer) {
             return;
         }
-        let items: Vec<(Slot, Command)> = self
-            .instances
-            .range(cursor.next().0..)
-            .filter(|(_, inst)| !inst.committed)
-            .filter_map(|(&s, inst)| inst.cmd.clone().map(|c| (Slot(s), c)))
-            .take(64)
-            .collect();
+        let items: Vec<(Slot, Command)> = self.uncommitted_past(cursor).take(64).collect();
         match (items.first(), items.last()) {
             (Some(&(first, _)), Some(&(upto, _))) => {
                 core.progress.on_sent(peer, first.prev(), upto, ctx.now());
@@ -229,18 +175,19 @@ impl PaxosRules {
                     core.progress.advance_cursor(peer, highest);
                 }
                 let window_room = core.progress.quorum_has_room(core.cfg.id);
-                ctx.send(
-                    core.cfg.peer(peer),
-                    Msg::Paxos(PaxosMsg::Accept {
-                        ballot: self.ballot,
-                        items,
-                        window_room,
-                    }),
-                );
+                ctx.send(core.cfg.peer(peer), self.accept(items, window_room));
             }
             // Everything past the cursor is committed; Learn covers it.
             _ => core.progress.advance_cursor(peer, highest),
         }
+    }
+
+    /// Accepted but uncommitted values past `from`, in slot order.
+    fn uncommitted_past(&self, from: Slot) -> impl Iterator<Item = (Slot, Command)> + '_ {
+        let pending = self.inst.map.range(from.next().0..);
+        pending
+            .filter(|(_, i)| !i.committed)
+            .filter_map(|(&s, i)| i.cmd.clone().map(|c| (Slot(s), c)))
     }
 
     /// Adopts a higher ballot. A deposed proposer's in-flight rounds
@@ -259,13 +206,12 @@ impl PaxosRules {
         self.phase1_succeeded = false;
         self.prepare_acks.clear();
         // Self-votes recorded under the old ballot no longer apply.
-        self.pending_self.clear();
+        self.inst.forget_own_votes();
         let from_slot = self.first_unchosen();
         // Record our own accepted instances as an implicit Phase1b reply.
-        let mine = self.accepted_from(from_slot);
-        let tail = self.log_tail();
+        let mine = self.inst.accepted(from_slot.0.., |_| true);
         self.prepare_acks
-            .insert(core.cfg.id, (mine, tail, self.compacted_through));
+            .insert(core.cfg.id, (mine, self.inst.tail(), self.inst.floor()));
         self.broadcast(
             core,
             ctx,
@@ -278,77 +224,15 @@ impl PaxosRules {
     }
 
     fn first_unchosen(&self) -> Slot {
-        let mut s = self.exec_index.next();
-        while self
-            .instances
-            .get(&s.0)
-            .map(|i| i.committed)
-            .unwrap_or(false)
-        {
+        let mut s = self.inst.exec.next();
+        while self.inst.map.get(&s.0).is_some_and(|i| i.committed) {
             s = s.next();
         }
         s
     }
 
-    fn log_tail(&self) -> Slot {
-        self.instances
-            .iter()
-            .next_back()
-            .map(|(&s, _)| Slot(s))
-            .unwrap_or(Slot::NONE)
-    }
-
-    fn accepted_from(&self, from: Slot) -> Vec<(Slot, Term, Command)> {
-        self.instances
-            .range(from.0..)
-            .filter_map(|(&s, inst)| inst.cmd.clone().map(|c| (Slot(s), inst.bal, c)))
-            .collect()
-    }
-
-    /// Durability: charges the local disk write for freshly proposed
-    /// values, tags their instances with the write sequence, and queues
-    /// the proposer's *own* acceptOK for [`ProtocolRules::on_durable`].
-    /// With durability disabled this only no-ops through
-    /// [`EngineCore::durable_write`] (the self-vote was seeded
-    /// immediately, as before).
-    fn note_proposed_durable(
-        &mut self,
-        core: &mut EngineCore,
-        ctx: &mut Ctx<Msg>,
-        items: &[(Slot, Command)],
-    ) {
-        if items.is_empty() {
-            return;
-        }
-        let bytes: usize = items.iter().map(|(_, c)| c.size_bytes()).sum();
-        core.durable_write(ctx, bytes, items.len());
-        if !core.dur.enabled() {
-            return;
-        }
-        let seq = core.dur.write_seq();
-        let slots: Vec<Slot> = items.iter().map(|(s, _)| *s).collect();
-        for s in &slots {
-            if let Some(inst) = self.instances.get_mut(&s.0) {
-                inst.wseq = seq;
-            }
-        }
-        self.pending_self.push((seq, self.ballot, slots));
-    }
-
-    /// Learn tally for a set of slots that just gained an ack bit:
-    /// marks newly chosen instances, broadcasts the Learn, executes.
-    fn learn_tally(&mut self, core: &mut EngineCore, ctx: &mut Ctx<Msg>, slots: &[Slot], bit: u64) {
-        let q = quorum(core.cfg.n);
-        let mut chosen = Vec::new();
-        for slot in slots {
-            if let Some(inst) = self.instances.get_mut(&slot.0) {
-                inst.acks |= bit;
-                if !inst.committed && inst.acks.count_ones() as usize >= q {
-                    inst.committed = true;
-                    chosen.push(*slot);
-                }
-            }
-        }
+    /// Broadcasts a Learn for newly chosen instances and executes.
+    fn broadcast_chosen(&mut self, core: &mut EngineCore, ctx: &mut Ctx<Msg>, chosen: Vec<Slot>) {
         if !chosen.is_empty() {
             self.broadcast(core, ctx, PaxosMsg::Learn { slots: chosen });
             self.try_execute(core, ctx);
@@ -396,33 +280,26 @@ impl PaxosRules {
         }
         let mut items = Vec::new();
         let mut s = start;
-        let me_bit = core.me_bit();
-        let gated = core.dur.enabled();
+        // Our own acceptOK counts only once the value is on disk;
+        // `on_durable` adds the bit after the fsync.
+        let own_vote = if core.dur.enabled() { 0 } else { core.me_bit() };
         while s <= end {
-            let inst = self.instances.entry(s.0).or_insert_with(Instance::empty);
-            if !inst.committed {
+            if !self.inst.map.entry(s.0).or_default().committed {
                 let cmd = safe
                     .get(&s.0)
                     .map(|(_, c)| c.clone())
                     .unwrap_or_else(Command::noop);
-                inst.bal = self.ballot;
-                let old = inst.cmd.replace(cmd.clone());
-                // Our own acceptOK counts only once the value is on
-                // disk; `on_durable` adds the bit after the fsync.
-                inst.acks = if gated { 0 } else { me_bit };
-                self.instance_bytes += cmd.size_bytes();
-                self.instance_bytes -= old.map_or(0, |c| c.size_bytes());
+                self.inst.write(s, self.ballot, cmd.clone()).acks = own_vote;
                 items.push((s, cmd));
             }
             s = s.next();
         }
-        self.note_proposed_durable(core, ctx, &items);
-        core.snap_stats
-            .note_log_size(self.instances.len(), self.instance_bytes);
+        self.inst.persist_own(core, ctx, &items, self.ballot);
+        self.inst.note_size(&mut core.snap_stats);
         self.phase1_succeeded = true;
         core.leader_hint = Some(core.cfg.id);
         core.progress.reset_for_leadership(Slot::NONE);
-        self.next_slot = Slot(end.0.max(self.log_tail().0) + 1);
+        self.next_slot = Slot(end.0.max(self.inst.tail().0) + 1);
         self.send_accept_round(core, ctx, &items);
         core.arm_heartbeat(ctx);
         // Anything buffered while campaigning goes out now.
@@ -433,8 +310,8 @@ impl PaxosRules {
     /// clients at apply time.
     fn try_execute(&mut self, core: &mut EngineCore, ctx: &mut Ctx<Msg>) {
         loop {
-            let next = self.exec_index.next();
-            let Some(inst) = self.instances.get(&next.0) else {
+            let next = self.inst.exec.next();
+            let Some(inst) = self.inst.map.get(&next.0) else {
                 break;
             };
             if !inst.committed {
@@ -443,49 +320,13 @@ impl PaxosRules {
             let cmd = inst.cmd.clone().expect("committed instance has a value");
             ctx.charge(core.cfg.costs.apply_per_cmd);
             let reply = engine::apply_command(core, ctx, &cmd, self.phase1_succeeded);
-            self.exec_index = next;
+            self.inst.exec = next;
             if self.phase1_succeeded && cmd.id.client != u32::MAX {
                 core.respond(ctx, cmd.id, reply);
             }
         }
-        self.maybe_compact(core, ctx);
-    }
-
-    /// Discards the executed instance prefix once it crosses the
-    /// configured threshold, checkpointing the state machine first.
-    fn maybe_compact(&mut self, core: &mut EngineCore, ctx: &mut Ctx<Msg>) {
-        if !core.cfg.snapshot.enabled() {
-            return;
-        }
-        let executed_retained = (self.exec_index.0 - self.compacted_through.0) as usize;
-        if !core
-            .cfg
-            .snapshot
-            .should_compact(executed_retained, self.instance_bytes)
-        {
-            return;
-        }
-        let snap = Snapshot {
-            last_slot: self.exec_index,
-            last_term: Term::ZERO,
-            kv: core.kv.snapshot(),
-        };
-        ctx.charge(core.cfg.costs.snapshot_cost(snap.size_bytes()));
-        // The checkpoint file replaces the discarded instances as their
-        // durable form; charge its write (modeled atomic, no ack waits
-        // on it — see `raft_family::RaftBase::maybe_compact`).
-        core.durable_write(ctx, snap.size_bytes(), 1);
-        let retained = self.instances.split_off(&(self.exec_index.0 + 1));
-        let discarded = self.instances.len();
-        for inst in self.instances.values() {
-            self.instance_bytes -= inst.cmd.as_ref().map_or(0, Command::size_bytes);
-        }
-        self.instances = retained;
-        self.committed_no_value = self.committed_no_value.split_off(&(self.exec_index.0 + 1));
-        self.compacted_through = self.exec_index;
-        core.stable_snap = Some(snap);
-        core.snap_stats.compactions += 1;
-        core.snap_stats.entries_discarded += discarded as u64;
+        // Checkpoint and discard the whole executed prefix.
+        self.inst.maybe_compact(core, ctx, self.inst.exec);
     }
 
     fn on_paxos(
@@ -509,20 +350,20 @@ impl PaxosRules {
                     // contents crash-stable.
                     let ok = Msg::Paxos(PaxosMsg::PrepareOk {
                         ballot,
-                        entries: self.accepted_from(from_slot),
-                        log_tail: self.log_tail(),
-                        floor: self.compacted_through,
+                        entries: self.inst.accepted(from_slot.0.., |_| true),
+                        log_tail: self.inst.tail(),
+                        floor: self.inst.floor(),
                     });
                     core.ack_after_sync(ctx, from, ok);
                     // The candidate asks for instances we checkpointed
                     // away: ship the checkpoint so it can execute the
                     // covered prefix it will never see as entries.
-                    if from_slot <= self.compacted_through {
+                    if from_slot <= self.inst.floor() {
                         engine::ship_snapshot(
                             core,
                             ctx,
                             core.cfg.node_of(from),
-                            (self.exec_index, Term::ZERO),
+                            (self.inst.exec, Term::ZERO),
                             self.ballot,
                         );
                     }
@@ -563,51 +404,35 @@ impl PaxosRules {
                     let mut written = Vec::new();
                     let mut written_bytes = 0usize;
                     for (slot, cmd) in items {
-                        if slot <= self.compacted_through {
+                        let size = cmd.size_bytes();
+                        match self.inst.accept(slot, ballot, cmd) {
                             // Checkpointed away: the instance is chosen
                             // and executed here; a proposer asking about
                             // it is behind our floor.
-                            below_floor = true;
-                            continue;
-                        }
-                        let inst = self.instances.entry(slot.0).or_insert_with(Instance::empty);
-                        if !inst.committed {
-                            inst.bal = ballot;
-                            written_bytes += cmd.size_bytes();
-                            written.push(slot);
-                            self.instance_bytes += cmd.size_bytes();
-                            self.instance_bytes -=
-                                inst.cmd.replace(cmd).map_or(0, |c| c.size_bytes());
-                            if self.committed_no_value.remove(&slot.0) {
-                                inst.committed = true;
+                            Accepted::BelowFloor => {
+                                below_floor = true;
+                                continue;
+                            }
+                            Accepted::Held => {}
+                            Accepted::Written => {
+                                written_bytes += size;
+                                written.push(slot);
                             }
                         }
                         slots.push(slot);
                     }
-                    // The freshly accepted values are one disk write;
-                    // tag their instances so a crash before the
-                    // covering fsync drops exactly them.
-                    if !written.is_empty() {
-                        core.durable_write(ctx, written_bytes, written.len());
-                        if core.dur.enabled() {
-                            let seq = core.dur.write_seq();
-                            for s in &written {
-                                if let Some(inst) = self.instances.get_mut(&s.0) {
-                                    inst.wseq = seq;
-                                }
-                            }
-                        }
-                    }
-                    core.snap_stats
-                        .note_log_size(self.instances.len(), self.instance_bytes);
-                    self.arm_election(core, ctx); // accepts double as heartbeats
-                                                  // Phase2b promises the accepted values survive a
-                                                  // crash: the acceptOK leaves only after the fsync
-                                                  // covering them (group commit batches the fsync).
+                    // The freshly accepted values are one disk write.
+                    self.inst.persist(core, ctx, &written, written_bytes);
+                    self.inst.note_size(&mut core.snap_stats);
+                    // Accepts double as heartbeats.
+                    self.arm_election(core, ctx);
+                    // Phase2b promises the accepted values survive a
+                    // crash: the acceptOK leaves only after the fsync
+                    // covering them (group commit batches the fsync).
                     let ok = Msg::Paxos(PaxosMsg::AcceptOk {
                         ballot,
                         slots,
-                        exec: self.exec_index,
+                        exec: self.inst.exec,
                     });
                     core.ack_after_sync(ctx, from, ok);
                     if below_floor {
@@ -615,7 +440,7 @@ impl PaxosRules {
                             core,
                             ctx,
                             core.cfg.node_of(from),
-                            (self.exec_index, Term::ZERO),
+                            (self.inst.exec, Term::ZERO),
                             self.ballot,
                         );
                     }
@@ -635,19 +460,10 @@ impl PaxosRules {
                 }
                 if ballot == self.ballot && self.phase1_succeeded {
                     ctx.charge(core.cfg.costs.ack_process);
-                    let bit = 1u64 << node.0;
                     let mut chosen = Vec::new();
-                    for slot in slots {
-                        if let Some(inst) = self.instances.get_mut(&slot.0) {
-                            inst.acks |= bit;
-                            if !inst.committed
-                                && inst.acks.count_ones() as usize >= quorum(core.cfg.n)
-                            {
-                                inst.committed = true;
-                                chosen.push(slot);
-                            }
-                        }
-                    }
+                    let need = quorum(core.cfg.n);
+                    self.inst
+                        .tally(&slots, None, 1u64 << node.0, need, &mut chosen);
                     // An acceptor's executed prefix is chosen globally.
                     // Instances we proposed at our own ballot (i.e.
                     // after a successful phase 1) need no quorum count
@@ -655,31 +471,20 @@ impl PaxosRules {
                     // the phase-1 safety argument. Stale-ballot values
                     // may differ from what was chosen, so they must
                     // wait for a Learn or checkpoint instead.
-                    for (&s, inst) in self.instances.range_mut(..=exec.0) {
+                    for (&s, inst) in self.inst.map.range_mut(..=exec.0) {
                         if !inst.committed && inst.cmd.is_some() && inst.bal == self.ballot {
                             inst.committed = true;
                             chosen.push(Slot(s));
                         }
                     }
-                    if !chosen.is_empty() {
-                        self.broadcast(core, ctx, PaxosMsg::Learn { slots: chosen });
-                        self.try_execute(core, ctx);
-                    }
+                    self.broadcast_chosen(core, ctx, chosen);
                     // The freed window slot may have a backlog waiting.
                     self.pump_accepts(core, ctx, node);
                 }
             }
             PaxosMsg::Learn { slots } => {
                 for slot in slots {
-                    if slot <= self.compacted_through {
-                        continue; // already executed and checkpointed
-                    }
-                    match self.instances.get_mut(&slot.0) {
-                        Some(inst) if inst.cmd.is_some() => inst.committed = true,
-                        _ => {
-                            self.committed_no_value.insert(slot.0);
-                        }
-                    }
+                    self.inst.learn(slot);
                 }
                 self.try_execute(core, ctx);
             }
@@ -698,30 +503,23 @@ impl PaxosRules {
         // must not stay pinned by them.
         core.progress
             .expire_stale(ctx.now(), core.cfg.retry_interval);
-        let retransmit: Vec<(Slot, Command)> = self
-            .instances
-            .range(self.exec_index.next().0..)
-            .filter(|(_, i)| !i.committed)
-            .filter_map(|(&s, i)| i.cmd.clone().map(|c| (Slot(s), c)))
-            .collect();
+        let retransmit: Vec<(Slot, Command)> = self.uncommitted_past(self.inst.exec).collect();
         let committed: Vec<Slot> = self
-            .instances
-            .range(self.exec_index.0.saturating_sub(64)..)
+            .inst
+            .map
+            .range(self.inst.exec.0.saturating_sub(64)..)
             .filter(|(_, i)| i.committed)
             .map(|(&s, _)| Slot(s))
             .collect();
         // The heartbeat Accept doubles as the hint refresh: even an idle
         // cluster re-teaches acceptors the proposer's window occupancy.
         let window_room = core.progress.quorum_has_room(core.cfg.id);
-        self.broadcast(
-            core,
-            ctx,
-            PaxosMsg::Accept {
-                ballot: self.ballot,
-                items: retransmit,
-                window_room,
-            },
-        );
+        for peer in core.cfg.others() {
+            ctx.send(
+                core.cfg.peer(peer),
+                self.accept(retransmit.clone(), window_room),
+            );
+        }
         if !committed.is_empty() {
             self.broadcast(core, ctx, PaxosMsg::Learn { slots: committed });
         }
@@ -736,32 +534,20 @@ impl PaxosRules {
             let Some(fexec) = core.progress.stalled_exec(peer) else {
                 continue;
             };
-            if fexec >= self.exec_index {
+            if fexec >= self.inst.exec {
                 continue;
             }
-            if fexec < self.compacted_through {
-                engine::ship_snapshot(core, ctx, peer, (self.exec_index, Term::ZERO), self.ballot);
+            if fexec < self.inst.floor() {
+                engine::ship_snapshot(core, ctx, peer, (self.inst.exec, Term::ZERO), self.ballot);
                 continue;
             }
-            let replay: Vec<(Slot, Command)> = self
-                .instances
-                .range(fexec.next().0..)
-                .take(64)
-                .filter(|(_, i)| i.committed)
-                .filter_map(|(&s, i)| i.cmd.clone().map(|c| (Slot(s), c)))
-                .collect();
+            let replay = self.inst.replay(fexec, |_| true);
             if replay.is_empty() {
                 continue;
             }
-            let slots: Vec<Slot> = replay.iter().map(|(s, _)| *s).collect();
-            ctx.send(
-                core.cfg.peer(peer),
-                Msg::Paxos(PaxosMsg::Accept {
-                    ballot: self.ballot,
-                    items: replay,
-                    window_room,
-                }),
-            );
+            let slots = replay.iter().map(|v| v.0).collect();
+            let items = replay.into_iter().map(|(s, _, c)| (s, c)).collect();
+            ctx.send(core.cfg.peer(peer), self.accept(items, window_room));
             ctx.send(core.cfg.peer(peer), Msg::Paxos(PaxosMsg::Learn { slots }));
         }
         core.arm_heartbeat(ctx);
@@ -774,35 +560,23 @@ impl ProtocolRules for PaxosRules {
     }
 
     fn applied_index(&self, _core: &EngineCore) -> Slot {
-        self.exec_index
+        self.inst.exec
     }
 
     /// Figure 1 `Phase2a`, batched.
     fn propose(&mut self, core: &mut EngineCore, ctx: &mut Ctx<Msg>, cmds: Vec<Command>) {
         let mut items = Vec::with_capacity(cmds.len());
         // With durability on, the proposer's implicit acceptOK waits for
-        // its own fsync (`on_durable` adds the bit); without it, the
-        // self-vote is immediate, as before.
-        let self_ack = if core.dur.enabled() { 0 } else { core.me_bit() };
+        // its own fsync (`on_durable` adds the bit).
+        let own_vote = if core.dur.enabled() { 0 } else { core.me_bit() };
         for cmd in cmds {
             let slot = self.next_slot;
             self.next_slot = self.next_slot.next();
-            self.instance_bytes += cmd.size_bytes();
-            self.instances.insert(
-                slot.0,
-                Instance {
-                    bal: self.ballot,
-                    cmd: Some(cmd.clone()),
-                    committed: false,
-                    acks: self_ack,
-                    wseq: 0,
-                },
-            );
+            self.inst.write(slot, self.ballot, cmd.clone()).acks = own_vote;
             items.push((slot, cmd));
         }
-        self.note_proposed_durable(core, ctx, &items);
-        core.snap_stats
-            .note_log_size(self.instances.len(), self.instance_bytes);
+        self.inst.persist_own(core, ctx, &items, self.ballot);
+        self.inst.note_size(&mut core.snap_stats);
         self.send_accept_round(core, ctx, &items);
     }
 
@@ -849,40 +623,17 @@ impl ProtocolRules for PaxosRules {
         from: ActorId,
         snap: Snapshot,
     ) {
-        if snap.last_slot > self.exec_index {
-            ctx.charge(core.cfg.costs.snapshot_cost(snap.size_bytes()));
-            // The installed checkpoint is this replica's new recovery
-            // floor; the ack below attests to holding it, so the write
-            // is charged and the ack deferred behind its fsync.
-            core.durable_write(ctx, snap.size_bytes(), 1);
-            core.kv.restore(&snap.kv);
-            self.exec_index = snap.last_slot;
-            let retained = self.instances.split_off(&(snap.last_slot.0 + 1));
-            for inst in self.instances.values() {
-                self.instance_bytes -= inst.cmd.as_ref().map_or(0, Command::size_bytes);
-            }
-            self.instances = retained;
-            self.committed_no_value = self.committed_no_value.split_off(&(snap.last_slot.0 + 1));
-            self.compacted_through = self.compacted_through.max(snap.last_slot);
-            if self.next_slot <= snap.last_slot {
-                self.next_slot = snap.last_slot.next();
-            }
+        let last = snap.last_slot;
+        if self.inst.install(core, ctx, snap).is_some() {
+            self.next_slot = self.next_slot.max(last.next());
             // A mid-campaign phase-1 picture is stale now; the armed
             // election timer retries with a fresh ballot.
             if !self.phase1_succeeded {
                 self.prepare_acks.clear();
             }
-            core.stable_snap = Some(snap.clone());
-            core.snap_stats.snapshots_installed += 1;
             self.try_execute(core, ctx);
         }
-        let ack = Msg::Engine(EngineMsg::SnapshotAck {
-            group: core.cfg.group_id(),
-            seal: self.ballot,
-            upto: self.exec_index,
-            header_bytes: core.snap_wire.1,
-        });
-        core.ack_after_sync(ctx, from, ack);
+        self.inst.ack_checkpoint(core, ctx, from, self.ballot);
     }
 
     fn on_snapshot_ack(
@@ -901,70 +652,32 @@ impl ProtocolRules for PaxosRules {
     fn on_durable(&mut self, core: &mut EngineCore, ctx: &mut Ctx<Msg>) {
         // An fsync landed: the proposer's own accepted values up to the
         // durable watermark now count toward their quorums.
-        if !self.phase1_succeeded || self.pending_self.is_empty() {
+        if !self.phase1_succeeded {
             return;
         }
-        let synced = core.dur.synced_seq();
-        let me = core.me_bit();
-        let ballot = self.ballot;
-        let mut ready: Vec<Slot> = Vec::new();
-        self.pending_self.retain(|(seq, bal, slots)| {
-            if *seq > synced {
-                return true;
-            }
-            // Recorded under a superseded ballot: the vote no longer
-            // applies (the bitmap was reseeded at the new ballot).
-            if *bal == ballot {
-                ready.extend_from_slice(slots);
-            }
-            false
-        });
-        if !ready.is_empty() {
-            self.learn_tally(core, ctx, &ready, me);
+        let mut chosen = Vec::new();
+        let need = quorum(core.cfg.n);
+        for (bal, slots) in self.inst.take_synced_votes(core.dur.synced_seq()) {
+            self.inst
+                .tally(&slots, Some(bal), core.me_bit(), need, &mut chosen);
         }
+        self.broadcast_chosen(core, ctx, chosen);
     }
 
     fn on_crash(&mut self, core: &mut EngineCore) {
         // Model a restart with stable storage: ballot, *fsynced*
-        // accepted values, commit flags, the executed state and the
-        // checkpoint persist; volatile leadership does not. With
-        // durability enabled, accepted values whose write never fsynced
-        // are gone: their acceptOK (and the proposer's own pending
-        // self-vote) was withheld by the ack-after-fsync invariant, so
-        // they contributed to no quorum and dropping them cannot lose
-        // chosen state. A committed instance losing its value this way
-        // degrades to `committed_no_value` and is re-fetched from the
-        // proposer's retransmission or a checkpoint.
-        if core.dur.enabled() {
-            let synced = core.dur.synced_seq();
-            let from = self.exec_index.0 + 1;
-            let mut dropped = Vec::new();
-            for (&s, inst) in self.instances.range_mut(from..) {
-                if inst.wseq > synced && inst.cmd.is_some() {
-                    self.instance_bytes -= inst.cmd.take().map_or(0, |c| c.size_bytes());
-                    inst.bal = Term::ZERO;
-                    inst.acks = 0;
-                    inst.wseq = 0;
-                    if inst.committed {
-                        inst.committed = false;
-                        self.committed_no_value.insert(s);
-                    }
-                    dropped.push(s);
-                }
-            }
+        // accepted values, commit flags, the executed state (this model
+        // keeps the state machine across a crash) and the checkpoint
+        // persist; volatile leadership does not. Unsynced values past
+        // the applied prefix are gone; a committed instance losing its
+        // value this way awaits it from the proposer's retransmission or
+        // a checkpoint.
+        let from = self.inst.exec.next();
+        for (s, _) in self.inst.drop_unsynced(core.dur.synced_seq(), from) {
             // Fully empty uncommitted instances need no placeholder.
-            for s in dropped {
-                if self
-                    .instances
-                    .get(&s)
-                    .map(|i| !i.committed && i.cmd.is_none())
-                    .unwrap_or(false)
-                    && !self.committed_no_value.contains(&s)
-                {
-                    self.instances.remove(&s);
-                }
+            if !self.inst.awaits_value(s) {
+                self.inst.map.remove(&s.0);
             }
-            self.pending_self.clear();
         }
         self.phase1_succeeded = false;
         self.prepare_acks.clear();
